@@ -4,22 +4,13 @@
 // and HadoopGIS's insert-built R-tree probe. Measures the MBR filter phase
 // on workload shapes matching the paper's partitions.
 //
-// Each algorithm is measured three ways:
-//   * fn_sink   — the std::function (PairSink) compatibility path;
+// Each algorithm is measured two ways:
 //   * templated — the templated-sink kernel, fresh scratch per call;
 //   * scratch   — the templated kernel with a reused MbrJoinScratch, the
 //                 configuration the systems' task loops run.
-// After the google-benchmark run, a head-to-head pass re-times fn_sink vs
-// scratch directly and writes BENCH_localjoin.json (see util/bench_io.hpp)
-// for regression tracking.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
 #include "index/mbr_join.hpp"
-#include "util/bench_io.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -48,22 +39,6 @@ std::pair<std::vector<IndexEntry>, std::vector<IndexEntry>> make_partition(
                      i});
   }
   return {std::move(left), std::move(right)};
-}
-
-/// std::function dispatch per pair, no reusable state (the pre-templating
-/// configuration and the PairSink compatibility path).
-void BM_LocalMbrJoinFn(benchmark::State& state, LocalJoinAlgorithm algo) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto [left, right] = make_partition(n, 0.1);
-  std::size_t pairs = 0;
-  const index::PairSink sink = [&pairs](std::uint32_t, std::uint32_t) { ++pairs; };
-  for (auto _ : state) {
-    pairs = 0;
-    index::local_mbr_join(algo, left, right, sink);
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.counters["pairs"] = static_cast<double>(pairs);
-  state.SetItemsProcessed(state.iterations() * n);
 }
 
 /// Templated sink, fresh scratch per call (isolates the inlining win).
@@ -98,10 +73,9 @@ void BM_LocalMbrJoinScratch(benchmark::State& state, LocalJoinAlgorithm algo) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-#define SJC_BENCH_ALGO(name, algo)                                          \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoinFn, name, algo)->Arg(1000)->Arg(10000);  \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoin, name, algo)->Arg(1000)->Arg(10000);    \
-  BENCHMARK_CAPTURE(BM_LocalMbrJoinScratch, name, algo)                     \
+#define SJC_BENCH_ALGO(name, algo)                                        \
+  BENCHMARK_CAPTURE(BM_LocalMbrJoin, name, algo)->Arg(1000)->Arg(10000);  \
+  BENCHMARK_CAPTURE(BM_LocalMbrJoinScratch, name, algo)                   \
       ->Arg(1000)->Arg(10000)->Arg(50000)
 
 SJC_BENCH_ALGO(plane_sweep, LocalJoinAlgorithm::kPlaneSweep);
@@ -114,222 +88,6 @@ SJC_BENCH_ALGO(indexed_nested_loop_dynamic, LocalJoinAlgorithm::kIndexedNestedLo
 BENCHMARK_CAPTURE(BM_LocalMbrJoin, nested_loop_baseline, LocalJoinAlgorithm::kNestedLoop)
     ->Arg(1000)->Arg(10000);
 
-// ---------------------------------------------------------------------------
-// Head-to-head measurement + JSON export
-// ---------------------------------------------------------------------------
-//
-// The gbench section above compares the in-tree paths against each other;
-// the head-to-head below additionally re-times the PRE-REFACTOR kernels
-// (inlined here verbatim as `legacy_*`: copy-and-sort plane sweep, per-call
-// tree build, std::function dispatch per pair) against the templated
-// scratch-reusing kernels, on a partition whose candidate density matches
-// the paper's workloads (several MBR candidates per left feature, like
-// points against neighborhood polygons), where per-pair dispatch cost is
-// visible.
-
-namespace legacy {
-
-void plane_sweep_join(const std::vector<IndexEntry>& left,
-                      const std::vector<IndexEntry>& right, const index::PairSink& sink) {
-  if (left.empty() || right.empty()) return;
-  std::vector<IndexEntry> ls = left;
-  std::vector<IndexEntry> rs = right;
-  const auto by_min_x = [](const IndexEntry& a, const IndexEntry& b) {
-    return a.env.min_x() < b.env.min_x();
-  };
-  std::sort(ls.begin(), ls.end(), by_min_x);
-  std::sort(rs.begin(), rs.end(), by_min_x);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto scan = [&sink](const IndexEntry& pivot, const std::vector<IndexEntry>& other,
-                            std::size_t from, bool pivot_is_left) {
-    for (std::size_t k = from; k < other.size(); ++k) {
-      if (other[k].env.min_x() > pivot.env.max_x()) break;
-      if (pivot.env.min_y() <= other[k].env.max_y() &&
-          pivot.env.max_y() >= other[k].env.min_y()) {
-        if (pivot_is_left) {
-          sink(pivot.id, other[k].id);
-        } else {
-          sink(other[k].id, pivot.id);
-        }
-      }
-    }
-  };
-  while (i < ls.size() && j < rs.size()) {
-    if (ls[i].env.min_x() <= rs[j].env.min_x()) {
-      scan(ls[i], rs, j, /*pivot_is_left=*/true);
-      ++i;
-    } else {
-      scan(rs[j], ls, i, /*pivot_is_left=*/false);
-      ++j;
-    }
-  }
-}
-
-/// The seed's StrTree::query traversal, verbatim: branchy AoS envelope
-/// tests at every node and entry, callback through std::function. Replayed
-/// over the current tree's introspection API so the baseline measures the
-/// seed's probe code even though StrTree itself has since gained the
-/// branchless SoA path.
-void seed_query(const index::StrTree& rt, const geom::Envelope& query,
-                const std::function<void(std::uint32_t)>& fn) {
-  if (rt.empty() || !rt.bounds().intersects(query)) return;
-  std::uint32_t stack[512];
-  std::size_t top = 0;
-  std::uint32_t root = 0;
-  while (&rt.node(root) != &rt.root()) ++root;
-  stack[top++] = root;
-  while (top > 0) {
-    const index::StrTree::Node& node = rt.node(stack[--top]);
-    if (!node.env.intersects(query)) continue;
-    if (node.leaf) {
-      for (std::uint32_t i = 0; i < node.count; ++i) {
-        const IndexEntry& e = rt.entry(node.first + i);
-        if (e.env.intersects(query)) fn(e.id);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < node.count; ++i) stack[top++] = node.first + i;
-    }
-  }
-}
-
-void indexed_nested_loop_str(const std::vector<IndexEntry>& left,
-                             const std::vector<IndexEntry>& right,
-                             const index::PairSink& sink) {
-  const index::StrTree rt(right);  // fresh tree every call, as before
-  for (const auto& le : left) {
-    seed_query(rt, le.env, [&](std::uint32_t rid) { sink(le.id, rid); });
-  }
-}
-
-void indexed_nested_loop_dynamic(const std::vector<IndexEntry>& left,
-                                 const std::vector<IndexEntry>& right,
-                                 const index::PairSink& sink) {
-  index::DynamicRTree rt;
-  for (const auto& e : right) rt.insert(e.env, e.id);
-  for (const auto& le : left) {
-    rt.query(le.env, [&](std::uint32_t rid) { sink(le.id, rid); });
-  }
-}
-
-void sync_traversal(const std::vector<IndexEntry>& left,
-                    const std::vector<IndexEntry>& right, const index::PairSink& sink) {
-  const index::StrTree lt(left);
-  const index::StrTree rt(right);
-  index::sync_traversal_join(lt, rt, sink);
-}
-
-}  // namespace legacy
-
-/// Median-of-repetitions ns/call for `fn`, self-scaling the iteration count
-/// so each repetition runs at least ~20 ms.
-template <typename Fn>
-double time_ns_per_call(Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up (and scratch warm-up)
-  std::size_t iters = 1;
-  for (;;) {
-    const auto t0 = clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)
-                .count());
-    if (ns >= 20e6) return ns / static_cast<double>(iters);
-    iters *= 4;
-  }
-}
-
-/// A paper-shaped partition pair: `n` small left boxes (points/short
-/// segments) against n/10 neighborhood-sized right boxes, so each left
-/// feature has a few MBR candidates — the density regime of the paper's
-/// point-in-polygon and polyline-intersection joins.
-std::pair<std::vector<IndexEntry>, std::vector<IndexEntry>> make_dense_partition(
-    std::size_t n) {
-  Rng rng(1234);
-  std::vector<IndexEntry> left;
-  std::vector<IndexEntry> right;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double x = rng.bernoulli(0.6) ? rng.normal(300, 60) : rng.uniform(0, 1000);
-    const double y = rng.bernoulli(0.6) ? rng.normal(300, 60) : rng.uniform(0, 1000);
-    left.push_back({geom::Envelope(x, y, x + rng.uniform(0, 3), y + rng.uniform(0, 3)),
-                    i});
-  }
-  const auto m = static_cast<std::uint32_t>(n / 10);
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const double x = rng.uniform(0, 950);
-    const double y = rng.uniform(0, 950);
-    right.push_back(
-        {geom::Envelope(x, y, x + rng.uniform(20, 60), y + rng.uniform(20, 60)), i});
-  }
-  return {std::move(left), std::move(right)};
-}
-
-void emit_json(std::size_t n) {
-  const auto [left, right] = make_dense_partition(n);
-  struct Algo {
-    const char* key;
-    LocalJoinAlgorithm algo;
-    void (*legacy)(const std::vector<IndexEntry>&, const std::vector<IndexEntry>&,
-                   const index::PairSink&);
-  };
-  const Algo algos[] = {
-      {"plane_sweep", LocalJoinAlgorithm::kPlaneSweep, legacy::plane_sweep_join},
-      {"sync_rtree_traversal", LocalJoinAlgorithm::kSyncTraversal,
-       legacy::sync_traversal},
-      {"indexed_nested_loop_str", LocalJoinAlgorithm::kIndexedNestedLoop,
-       legacy::indexed_nested_loop_str},
-      {"indexed_nested_loop_dynamic", LocalJoinAlgorithm::kIndexedNestedLoopDynamic,
-       legacy::indexed_nested_loop_dynamic},
-  };
-
-  std::size_t pair_count = 0;
-
-  JsonWriter json;
-  json.begin_object();
-  json.field("bench", "localjoin");
-  json.field("n_left", static_cast<std::uint64_t>(n));
-  json.field("n_right", static_cast<std::uint64_t>(right.size()));
-  json.begin_array("kernels");
-  for (const auto& [key, algo, legacy_fn] : algos) {
-    std::size_t pairs = 0;
-    const index::PairSink sink = [&pairs](std::uint32_t, std::uint32_t) { ++pairs; };
-    const double legacy_ns = time_ns_per_call([&] {
-      pairs = 0;
-      legacy_fn(left, right, sink);
-      benchmark::DoNotOptimize(pairs);
-    });
-    pair_count = pairs;
-    index::MbrJoinScratch scratch;
-    const double scratch_ns = time_ns_per_call([&] {
-      pairs = 0;
-      index::local_mbr_join(algo, left, right, scratch,
-                            [&pairs](std::uint32_t, std::uint32_t) { ++pairs; });
-      benchmark::DoNotOptimize(pairs);
-    });
-    if (pairs != pair_count) {
-      std::fprintf(stderr, "pair-count mismatch for %s: legacy %zu vs new %zu\n", key,
-                   pair_count, pairs);
-      std::exit(1);
-    }
-    json.begin_element();
-    json.field("algorithm", key);
-    json.field("pairs", static_cast<std::uint64_t>(pairs));
-    json.field("legacy_ns", legacy_ns);
-    json.field("templated_scratch_ns", scratch_ns);
-    json.field("speedup", legacy_ns / scratch_ns);
-    json.end_object();
-    std::printf(
-        "head-to-head %-28s legacy %12.0f ns  templated+scratch %12.0f ns  speedup %.2fx  (pairs %zu)\n",
-        key, legacy_ns, scratch_ns, legacy_ns / scratch_ns, pairs);
-  }
-  json.end_array();
-  json.field("peak_rss_bytes", peak_rss_bytes());
-  json.end_object();
-  const std::string path = write_bench_json("localjoin", json.str());
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -337,6 +95,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  emit_json(/*n=*/10000);
   return 0;
 }

@@ -5,30 +5,31 @@
 // algorithm (plane sweep / synchronized R-tree traversal / indexed nested
 // loop) and in the geometry engine used for refinement (Simple vs
 // Prepared). run_local_join factors the common shape: MBR-join the two
-// feature lists, group candidates by the right-side feature, bind that
-// feature once on the engine (the JTS PreparedGeometry access pattern) and
-// evaluate the exact predicate per candidate.
+// feature lists, group candidates by the right-side feature, prepare that
+// feature once (the JTS PreparedGeometry access pattern) and refine the
+// whole candidate group against it.
 //
 // The hot path is the templated run_local_join overload: the MBR-join sink
 // and the accept filter inline into the kernel loops, candidate grouping is
 // a counting-sort scatter (right ids are dense) instead of a comparison
 // sort, expanded envelopes are computed once per feature, and a caller-owned
 // LocalJoinScratch keeps entry buffers and per-task index trees warm across
-// partition pairs. When LocalJoinSpec::prepared_cache is set and the engine
-// is the Prepared (JTS-analog) one, bind() results are shared across
-// partitions through a PreparedCache — each overlap-duplicated right
-// geometry is prepared once per run instead of once per partition. The
-// Simple (GEOS-analog) engine never touches the cache: its from-scratch
+// partition pairs. The Prepared (JTS-analog) engine refines each group
+// through a geom::BatchRefiner; when LocalJoinSpec::prepared_cache is set
+// those refiners are shared across partitions through a PreparedCache —
+// each overlap-duplicated right geometry is prepared once per run instead
+// of once per partition. The Simple (GEOS-analog) engine binds per group
+// and evaluates per pair, never touching the cache: its from-scratch
 // per-call work is the model being measured.
 //
 // Duplicate avoidance: partitions overlap-assign features, so the same
 // (left, right) pair can meet in several partition pairs. The caller
 // supplies an `accept` filter — typically the reference-point test
 // (`reference_point` below + "is this cell the canonical cell"), or
-// nullptr to keep everything and deduplicate globally (HadoopGIS-style).
+// AcceptAllPairs to keep everything and deduplicate globally
+// (HadoopGIS-style).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -50,24 +51,15 @@ struct LocalJoinSpec {
   JoinPredicate predicate = JoinPredicate::kIntersects;
   double within_distance = 0.0;
 
-  /// Optional run-scoped cache of bind() results, shared across partition
+  /// Optional run-scoped cache of BatchRefiners, shared across partition
   /// pairs (and tasks — it is thread-safe). Consulted only when `engine` is
   /// the Prepared one; the Simple engine's per-call work is the model.
   geom::PreparedCache* prepared_cache = nullptr;
 
-  /// Refinement strategy for the Prepared engine. When true (the default)
-  /// whole candidate groups are refined through geom::BatchRefiner (packed
-  /// SoA linework, inner/outer approximations, batched point-in-polygon);
-  /// when false every pair goes through the per-pair BoundPredicate path —
-  /// kept intact as the bench_refine baseline. Answers are bit-identical
-  /// either way. The Simple engine always refines per pair: its per-call
-  /// cost is the model being measured.
-  bool batch_refine = true;
-
   /// Optional sink for refinement accounting. Per run_local_join call, adds
   /// `refine.candidates` (accept-filtered candidates refined), the
   /// `refine.exact_tests` / `refine.early_accepts` / `refine.early_rejects`
-  /// split (the three always sum to refine.candidates; the per-pair path
+  /// split (the three always sum to refine.candidates; the Simple engine
   /// counts every candidate as an exact test), and the
   /// `refine.exact_fastpath` / `refine.exact_slowpath` split of exact tests
   /// by whether the adaptive exact predicate escalated past its float
@@ -155,7 +147,7 @@ class ScratchPool {
   std::vector<std::unique_ptr<LocalJoinScratch>> free_;
 };
 
-/// Accept filter that keeps every pair (the `accept == nullptr` fast path).
+/// Accept filter that keeps every pair.
 struct AcceptAllPairs {
   bool operator()(const geom::Envelope&, const geom::Envelope&) const { return true; }
 };
@@ -172,12 +164,12 @@ bool evaluate_predicate(const geom::GeometryEngine& engine, JoinPredicate predic
 
 /// Joins `left` x `right` within one partition; appends accepted pairs to
 /// `out`. `accept(left_env, right_env)` sees the epsilon-expanded envelopes
-/// used for partition assignment. The templated hot path: sink, accept and
-/// predicate dispatch all inline, and `scratch` carries reusable state
-/// across calls. `left`/`right` are any random-access feature sequences
-/// (size()/empty()/operator[] -> const geom::Feature&): std::span for
-/// materialized blocks, FeatureIndexSpan/FeatureRefSpan for the zero-copy
-/// partition plane.
+/// used for partition assignment. Sink, accept and predicate dispatch all
+/// inline, and `scratch` carries reusable state across calls. `left`/
+/// `right` are any random-access feature sequences (size()/empty()/
+/// operator[] -> const geom::Feature&): std::span for materialized
+/// features, FeatureIndexSpan/FeatureRefSpan for partition blocks and RDD
+/// groups that reference a stable feature store.
 template <typename LeftSeq, typename RightSeq, typename AcceptFn>
 void run_local_join(const LeftSeq& left, const RightSeq& right,
                     const LocalJoinSpec& spec, AcceptFn&& accept,
@@ -232,10 +224,6 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
 
   const geom::GeometryEngine& engine = *spec.engine;
   const bool prepared_engine = engine.kind() == geom::EngineKind::kPrepared;
-  geom::PreparedCache* cache =
-      (spec.prepared_cache != nullptr && prepared_engine) ? spec.prepared_cache
-                                                         : nullptr;
-  const bool batched = spec.batch_refine && prepared_engine;
 
   geom::RefineStats stats;
   std::uint64_t refined = 0;
@@ -248,18 +236,18 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     const auto& right_feature = right[r];
     const geom::Envelope& right_env = right_entries[r].env;
 
-    if (batched) {
+    if (prepared_engine) {
       // Batched group refinement: one BatchRefiner per right geometry,
       // whole candidate group refined against it (point probes batched
       // through the SoA point-in-polygon pass, everything else through the
-      // approximation-gated scalar predicates). Results and output order
-      // are bit-identical to the per-pair path below.
+      // approximation-gated scalar predicates). Answers are the Simple
+      // engine's, pair for pair and in the same emission order.
       std::shared_ptr<const geom::BatchRefiner> shared_refiner;
       std::unique_ptr<geom::BatchRefiner> owned_refiner;
       const geom::BatchRefiner* refiner;
-      if (cache != nullptr) {
-        shared_refiner =
-            cache->acquire_refiner(right_feature.id, right_feature.geometry);
+      if (spec.prepared_cache != nullptr) {
+        shared_refiner = spec.prepared_cache->acquire_refiner(right_feature.id,
+                                                              right_feature.geometry);
         refiner = shared_refiner.get();
       } else {
         owned_refiner = std::make_unique<geom::BatchRefiner>(right_feature.geometry);
@@ -316,24 +304,16 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
       continue;
     }
 
-    std::shared_ptr<const geom::BoundPredicate> shared_bound;
-    std::unique_ptr<geom::BoundPredicate> owned_bound;
-    const geom::BoundPredicate* bound;
-    if (cache != nullptr) {
-      shared_bound = cache->acquire(engine, right_feature.id, right_feature.geometry);
-      bound = shared_bound.get();
-    } else {
-      owned_bound = engine.bind(right_feature.geometry);
-      bound = owned_bound.get();
-    }
-
+    // Simple engine: per-pair evaluation against a per-group bind.
+    const std::unique_ptr<geom::BoundPredicate> bound =
+        engine.bind(right_feature.geometry);
     for (std::size_t c = begin; c < end; ++c) {
       const std::uint32_t l = grouped[c];
       // The accept filter sees the same (expanded) envelopes used for
       // partition assignment so reference-point dedup stays consistent.
       if (!accept(left_entries[l].env, right_env)) continue;
-      // The per-pair path has no approximations: every refined candidate
-      // is an exact test, keeping the counter-sum invariant intact.
+      // No approximations here: every refined candidate is an exact test,
+      // keeping the counter-sum invariant intact.
       ++refined;
       const std::uint64_t slow0 = geom::exact::slowpath_calls();
       const auto& left_feature = left[l];
@@ -363,13 +343,5 @@ void run_local_join(const LeftSeq& left, const RightSeq& right,
     spec.refine_counters->add("refine.exact_slowpath", stats.exact_slowpath);
   }
 }
-
-/// std::function compatibility overload: `accept` may be empty (keep all).
-/// Allocates a fresh scratch per call; hot callers use the template above.
-void run_local_join(
-    std::span<const geom::Feature> left, std::span<const geom::Feature> right,
-    const LocalJoinSpec& spec,
-    const std::function<bool(const geom::Envelope&, const geom::Envelope&)>& accept,
-    std::vector<JoinPair>& out);
 
 }  // namespace sjc::core

@@ -1,7 +1,7 @@
 // BatchRefiner: batched, SoA refinement engine for the local-join
 // refinement step.
 //
-// The per-pair Prepared path answers one `BoundPredicate` call per
+// A per-pair bound predicate answers one `BoundPredicate` call per
 // candidate. BatchRefiner instead refines a whole candidate *group* (all
 // candidates of one indexed geometry, as produced by run_local_join's
 // counting-sort group-by) against acceleration structures laid out for
@@ -17,8 +17,9 @@
 //     per-part envelopes and chunked linework envelopes (probe MBR
 //     disjoint from all of them ⇒ no shared point, early reject).
 //  3. Exact fallback — allocation-free mirrors of the PreparedGeometry
-//     predicates, so every answer is bit-identical to the per-pair path
-//     (and therefore to predicates.hpp's naive results).
+//     predicates, so every answer is bit-identical to a per-pair
+//     PreparedGeometry call (and therefore to predicates.hpp's naive
+//     results).
 //
 // Every refined candidate is accounted to exactly one of
 // RefineStats::{early_accepts, early_rejects, exact_tests}.
@@ -94,7 +95,7 @@ class BatchRefiner {
   /// Same answer as contains_naive(anchor(), probe); requires areal anchor.
   bool contains(const Geometry& probe, RefineStats& stats) const;
 
-  /// Same answer as the per-pair BoundPredicate::within_distance(probe, d).
+  /// Same answer as distance_naive(anchor(), probe) <= d.
   bool within_distance(const Geometry& probe, double d, RefineStats& stats) const;
 
   /// Batched hole-aware covered test: out[i] = covers(pts[i]), boundary

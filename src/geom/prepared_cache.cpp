@@ -31,71 +31,36 @@ void PreparedCache::touch_and_evict_locked(Entry& entry, std::uint64_t keep_id) 
   ++evictions_;
 }
 
-std::shared_ptr<const BoundPredicate> PreparedCache::acquire(
-    const GeometryEngine& engine, std::uint64_t id, const Geometry& geometry) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++lookups_;
-    const auto it = entries_.find(id);
-    // An entry populated only by acquire_refiner() carries no bound
-    // predicate; that is a miss for this slot, not a null handle.
-    if (it != entries_.end() && it->second.bound != nullptr) {
-      ++hits_;
-      it->second.last_used = ++tick_;
-      return {it->second.bound, it->second.bound->bound.get()};
-    }
-    ++misses_;
-  }
-
-  // Bind outside the lock: preparation is the expensive part and other
-  // tasks must not serialize behind it. A concurrent miss on the same id
-  // binds twice; the loser's work is discarded below.
-  auto holder = std::make_shared<BoundHolder>();
-  holder->geometry = geometry;
-  holder->bound = engine.bind(holder->geometry);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = entries_.try_emplace(id);
-  if (!inserted && it->second.bound != nullptr) {
-    // Another thread won the race; share its handle.
-    it->second.last_used = ++tick_;
-    return {it->second.bound, it->second.bound->bound.get()};
-  }
-  // Fresh entry, or a refiner-only entry gaining its bound slot; the
-  // refiner slot (if any) is left untouched.
-  it->second.bound = std::move(holder);
-  touch_and_evict_locked(it->second, id);
-  return {it->second.bound, it->second.bound->bound.get()};
-}
-
 std::shared_ptr<const BatchRefiner> PreparedCache::acquire_refiner(
     std::uint64_t id, const Geometry& geometry) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++lookups_;
     const auto it = entries_.find(id);
-    if (it != entries_.end() && it->second.refiner != nullptr) {
+    if (it != entries_.end()) {
       ++hits_;
       it->second.last_used = ++tick_;
       return {it->second.refiner, it->second.refiner->refiner.get()};
     }
-    ++misses_;
   }
 
-  // Build outside the lock (same reasoning as acquire): the loser of a
-  // concurrent miss race discards its work below.
+  // Build outside the lock: preparation is the expensive part and other
+  // tasks must not serialize behind it. A concurrent miss on the same id
+  // builds twice; the loser's work is discarded below.
   auto holder = std::make_shared<RefinerHolder>();
   holder->geometry = geometry;
   holder->refiner = std::make_unique<BatchRefiner>(holder->geometry);
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = entries_.try_emplace(id);
-  if (!inserted && it->second.refiner != nullptr) {
+  if (!inserted) {
+    // Another task won the race: share its handle, and count the lookup as
+    // the hit it would have been had the winner finished first.
+    ++hits_;
     it->second.last_used = ++tick_;
     return {it->second.refiner, it->second.refiner->refiner.get()};
   }
-  // Fresh entry, or an acquire()-only entry gaining its refiner slot; the
-  // bound slot (if any) is left untouched.
+  ++misses_;
   it->second.refiner = std::move(holder);
   touch_and_evict_locked(it->second, id);
   return {it->second.refiner, it->second.refiner->refiner.get()};

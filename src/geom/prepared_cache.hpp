@@ -1,6 +1,7 @@
-// PreparedCache: a cache of bind() results (PreparedGeometry handles)
-// keyed by feature id, scoped to a run or — in serving mode — shared
-// across every query that touches the same resident dataset pair.
+// PreparedCache: a cache of prepared refiners (geom::BatchRefiner, the
+// PreparedGeometry analog) keyed by feature id, scoped to a run or — in
+// serving mode — shared across every query that touches the same resident
+// dataset pair.
 //
 // Partition-based joins (the paper's §II design choice shared by all three
 // systems) overlap-assign features, so the same right-side geometry appears
@@ -8,21 +9,22 @@
 // partition pair it meets. LocationSpark (PAPERS.md) demonstrates the win
 // from keeping query-side index/prepared structures alive across
 // partitions; PreparedCache brings that to the shared local-join kernel: a
-// thread-safe, capacity-bounded (LRU) map from feature id to a bound
-// predicate, shared by all tasks of a join wave (and, via
+// thread-safe, capacity-bounded (LRU) map from feature id to a batch
+// refiner, shared by all tasks of a join wave (and, via
 // serving::ResidentCatalog, by all queries against one resident entry).
 //
-// Each slot owns a private copy of the geometry it was bound against, so a
+// Each entry owns a private copy of the geometry it was built from, so a
 // cached handle stays valid even when the source partition block (or a
 // streaming reducer's transient feature vector) is gone. Eviction never
 // invalidates handles already handed out — they share ownership.
 //
-// An entry carries two independent slots: the per-pair BoundPredicate
-// (acquire) and the batched BatchRefiner (acquire_refiner). The slots are
-// populated lazily and independently, so queries with different
-// `batch_refine` settings can share one cache: a refiner-only entry never
-// satisfies an acquire() lookup (and vice versa), and populating one slot
-// never discards the other.
+// Hit/miss accounting: a lookup that finds the id is a hit; a miss is
+// counted only by the insert that wins, so tasks racing to build the same
+// id count one miss between them and the losers count as hits. Without
+// eviction the split is therefore schedule-independent (misses == distinct
+// ids bound). Once LRU eviction runs (more distinct ids than capacity),
+// which entry is evicted — and so the later hit/miss split — still follows
+// the thread interleaving.
 //
 // Fidelity note: the cache models reuse of *prepared* structures only. The
 // Simple (GEOS-analog) engine's from-scratch per-call evaluation is the
@@ -36,7 +38,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "geom/engine.hpp"
+#include "geom/geometry.hpp"
 
 namespace sjc::geom {
 
@@ -48,26 +50,17 @@ class PreparedCache {
 
   explicit PreparedCache(std::size_t capacity = kDefaultCapacity);
 
-  /// Returns the bound predicate for feature `id`, binding `geometry` on
-  /// `engine` (against an internally owned copy) on a miss. Two features
-  /// with the same id must carry equal geometry — true for the
-  /// partition-duplicated datasets this serves.
-  std::shared_ptr<const BoundPredicate> acquire(const GeometryEngine& engine,
-                                                std::uint64_t id,
-                                                const Geometry& geometry);
-
-  /// Like acquire(), but for the batched refinement engine: returns the
-  /// BatchRefiner for feature `id`, building one (against an internally
-  /// owned copy of `geometry`) on a miss. An entry whose bound-predicate
-  /// slot was populated by acquire() keeps it; the refiner slot is filled
-  /// alongside. Handles already handed out stay valid through shared
-  /// ownership.
+  /// Returns the BatchRefiner for feature `id`, building one (against an
+  /// internally owned copy of `geometry`) on a miss. Two features with the
+  /// same id must carry equal geometry — true for the partition-duplicated
+  /// datasets this serves. Handles already handed out stay valid through
+  /// shared ownership.
   std::shared_ptr<const BatchRefiner> acquire_refiner(std::uint64_t id,
                                                       const Geometry& geometry);
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
-  /// Total acquire()/acquire_refiner() calls. Invariant (checked by
+  /// Total acquire_refiner() calls. Invariant (checked by
   /// tests, including under TSan): hits() + misses() == lookups().
   std::uint64_t lookups() const;
   std::uint64_t hits() const;
@@ -79,18 +72,13 @@ class PreparedCache {
   void clear();
 
  private:
-  struct BoundHolder {
-    Geometry geometry;  // owned copy; `bound` references it
-    std::unique_ptr<BoundPredicate> bound;
-  };
   struct RefinerHolder {
     Geometry geometry;  // owned copy; `refiner` references it
     std::unique_ptr<BatchRefiner> refiner;
     ~RefinerHolder();  // out-of-line: BatchRefiner is incomplete here
   };
   struct Entry {
-    std::shared_ptr<BoundHolder> bound;      // populated by acquire()
-    std::shared_ptr<RefinerHolder> refiner;  // populated by acquire_refiner()
+    std::shared_ptr<RefinerHolder> refiner;
     std::uint64_t last_used = 0;
   };
 

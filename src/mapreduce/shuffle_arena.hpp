@@ -1,9 +1,9 @@
 // Chunked arena storage for map-side shuffle buckets.
 //
-// The seed data plane keeps one std::vector per (map task, reduce bucket)
-// and grows it pair by pair; with hundreds of reducers and small per-bucket
-// counts that is a reallocation storm and a cold-cache scatter the real
-// systems never pay (their spill buffers are contiguous byte arenas).
+// One std::vector per (map task, reduce bucket), grown pair by pair, is a
+// reallocation storm and a cold-cache scatter with hundreds of reducers and
+// small per-bucket counts — a cost the real systems never pay (their spill
+// buffers are contiguous byte arenas).
 // ShuffleArena stores all buckets of one map task in a single chunk pool:
 // each bucket is a linked chain of fixed-capacity chunks, chunks are
 // allocated once and never reallocate, and draining a bucket walks its
@@ -76,19 +76,6 @@ class ShuffleArena {
     heads_[bucket] = kNone;
     tails_[bucket] = kNone;
     sizes_[bucket] = 0;
-  }
-
-  /// Drains `bucket` into a fresh vector (insertion order).
-  std::vector<T> take_bucket(std::size_t bucket) {
-    std::vector<T> out;
-    out.reserve(static_cast<std::size_t>(sizes_[bucket]));
-    consume(bucket, [&out](T& item) { out.push_back(std::move(item)); });
-    return out;
-  }
-
-  /// Refills `bucket` (assumed empty, e.g. after take_bucket) from `items`.
-  void refill(std::size_t bucket, std::vector<T> items) {
-    for (auto& item : items) push(bucket, std::move(item));
   }
 
  private:

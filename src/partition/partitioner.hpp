@@ -54,8 +54,8 @@ class PartitionScheme {
   /// Zero-allocation variant of assign(): clears and refills `out` with the
   /// assigned id set. Queries a uniform-grid cell directory: for the
   /// small-envelope/many-records shape of partition assignment, a bucket
-  /// scan beats a tree walk. The zero-copy data plane's per-record
-  /// assignment path; `out` is the caller's reusable scratch.
+  /// scan beats a tree walk. The systems' per-record assignment path;
+  /// `out` is the caller's reusable scratch.
   void assign_into(const geom::Envelope& env, std::vector<std::uint32_t>& out) const;
 
   /// Filtered assignment: computes the same id set as assign_into() (nearest

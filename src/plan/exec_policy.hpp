@@ -5,10 +5,7 @@
 // cross-cutting knob (`shuffle_filter` lived three times, once per system
 // config, and the adaptive-execution work would have added three more).
 // ExecPolicy is the single struct those knobs live in; each system config
-// embeds one and resolves the optionals against its own plane defaults
-// (e.g. the shuffle filter defaults on for the zero-copy planes and off
-// for the seed baseline planes — exactly the pre-refactor behavior,
-// pinned by the existing test suites).
+// embeds one and resolves the optionals against its own defaults.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +34,8 @@ struct SkewPolicy {
 };
 
 struct ExecPolicy {
-  /// Map-side spatial shuffle filter (the sFilter analog). Unset resolves
-  /// to each driver's plane default: on for the zero-copy planes, off for
-  /// the seed baseline planes (HadoopGIS and SpatialSpark default on; the
-  /// SpatialSpark seed copying plane and the broadcast join never filter).
+  /// Map-side spatial shuffle filter (the sFilter analog). Unset means on
+  /// in every driver; the SpatialSpark broadcast join never filters.
   std::optional<bool> shuffle_filter;
   /// Skew-aware adaptive repartitioning: probe per-cell load after the
   /// scheme is derived from the sample, split hotspot cells, and shuffle

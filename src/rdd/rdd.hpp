@@ -153,9 +153,9 @@ class Rdd {
   }
 
   /// Narrow whole-partition transformation that also sees the partition
-  /// index (mapPartitionsWithIndex). The zero-copy data plane uses this to
-  /// parse each partition into a stable per-partition store and emit
-  /// references into it.
+  /// index (mapPartitionsWithIndex). SpatialSpark uses this to parse each
+  /// partition into a stable per-partition store and emit references into
+  /// it.
   template <typename U>
   Rdd<U> map_partitions_indexed(
       const std::string& name,

@@ -50,24 +50,14 @@ struct SpatialHadoopConfig {
   /// has no intrinsic failure modes, so only injected faults (crashes past
   /// max_attempts, losing every replica of a block) can make it fail.
   cluster::FaultPlan faults;
-  /// Data-plane selection. The zero-copy plane (default) stores partition
-  /// blocks as index vectors into the source dataset's feature array and
-  /// uses the typed MR specs (inlined functors + arena shuffle buckets);
-  /// every modeled quantity — shuffle bytes, block text_bytes, phase task
-  /// shapes, join cardinality — is identical to the seed copying plane,
-  /// which is kept as the bench_shuffle baseline. Zero-copy blocks borrow
-  /// the dataset's features, so the source Dataset must outlive any
-  /// SpatialHadoopIndex built from it.
-  bool zero_copy_plane = true;
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
   ///  - policy.shuffle_filter: index the resident (right) dataset first,
   ///    build a per-cell occupancy bitmap from its partition blocks, and
   ///    drop streamed (left) record copies that provably match nothing in
   ///    the target cell before they are shuffled (sFilter analog). Unset
-  ///    resolves to the data-plane default: on for the zero-copy plane, off
-  ///    for the seed baseline plane. The pre-indexed join path
-  ///    (run_spatial_hadoop_indexed) never filters — both inputs are
-  ///    partitioned before the join pairing is known.
+  ///    means on. The pre-indexed join path (run_spatial_hadoop_indexed)
+  ///    never filters — both inputs are partitioned before the join
+  ///    pairing is known.
   ///  - policy.repartition: probe per-cell load after the sample job derives
   ///    a dataset's scheme and split hotspot cells on the master before the
   ///    partition MR job writes blocks; unset resolves to off.
@@ -111,7 +101,8 @@ class SpatialHadoopIndex {
 };
 
 /// Runs the two preprocessing MR jobs for one dataset and returns the
-/// persisted index.
+/// persisted index. Partition blocks hold indices into the dataset's
+/// feature array, so `data` must outlive the returned index.
 SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
                                               const core::JoinQueryConfig& query,
                                               const core::ExecutionConfig& exec,

@@ -47,19 +47,11 @@ struct SpatialSparkConfig {
   bool broadcast_join = false;
   /// Geometry engine for refinement (JTS analog by default).
   geom::EngineKind engine = geom::EngineKind::kPrepared;
-  /// Data-plane selection for the partition-based join. The zero-copy plane
-  /// (default) parses each input once into a run-scoped feature store and
-  /// ships 8-byte FeatureRef handles through assign/groupByKey/join instead
-  /// of deep Feature copies; every RDD sizer still charges the referenced
-  /// record's full modeled bytes, so memory accounting, shuffle volumes and
-  /// the OOM gate are identical to the seed copying plane (kept as the
-  /// bench_shuffle baseline). The broadcast join always uses the seed plane.
-  bool zero_copy_plane = true;
   /// Adaptive-execution knobs (see plan/exec_policy.hpp):
   ///  - policy.shuffle_filter: map-side occupancy-bitmap filter (sFilter
-  ///    analog) on the left side's assign stage; unset resolves to on for
-  ///    the zero-copy partition-based join, while the seed copying plane
-  ///    (bench baseline) and the broadcast join stay unfiltered.
+  ///    analog) on both sides' assign stages of the partition-based join;
+  ///    unset means on. The broadcast join shuffles nothing and never
+  ///    filters.
   ///  - policy.repartition: probe per-cell shuffle load right after the
   ///    driver derives the scheme and quad-split hotspot cells before the
   ///    scheme is broadcast; unset resolves to off.
@@ -74,7 +66,7 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
                                   const core::ExecutionConfig& exec,
                                   const SpatialSparkConfig& config = {});
 
-/// Resident (serving-mode) state for the zero-copy partition-based join:
+/// Resident (serving-mode) state for the partition-based join:
 /// the parsed feature store, the per-chunk FeatureRef views, the partition
 /// scheme and the occupancy filters, all captured from one cold build run
 /// (capture-on-build). Queries answered from this state re-execute only the
@@ -104,10 +96,9 @@ class SpatialSparkResident {
   std::shared_ptr<const Impl> impl_;
 };
 
-/// Runs one cold zero-copy partitioned join and captures its preprocessing
-/// products for resident reuse. Requires the zero-copy partition-based
-/// plane (not broadcast_join, not the seed copying plane); throws SjcError
-/// when the build run fails.
+/// Runs one cold partitioned join and captures its preprocessing products
+/// for resident reuse. Requires the partition-based join (not
+/// broadcast_join); throws SjcError when the build run fails.
 SpatialSparkResident spatial_spark_build_resident(
     const workload::Dataset& left, const workload::Dataset& right,
     const core::JoinQueryConfig& query, const core::ExecutionConfig& exec,

@@ -1,8 +1,7 @@
-// Zero-copy data plane tests: the grid cell directory must agree with the
-// STR tree, the duplicated-records counter must report the exact
-// multi-assignment overhead on a pinned grid, repeated runs must be
-// bit-identical with the thread pool active, and the zero-copy plane must
-// charge exactly the same modeled quantities as the seed copying plane.
+// Data plane tests: the grid cell directory must agree with the STR tree,
+// the duplicated-records counter must report the exact multi-assignment
+// overhead on a pinned grid, and repeated (and traced) runs must be
+// bit-identical with the thread pool active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,7 +225,7 @@ TEST(DataPlane, DuplicatedRecordsCounterOnPinnedGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism and plane invariance under virtual time
+// Determinism under virtual time
 // ---------------------------------------------------------------------------
 
 struct PlaneBench {
@@ -257,7 +256,7 @@ TEST(DataPlane, RepeatedRunsBitIdenticalUnderVirtualTime) {
   // With measured CPU pinned to zero, two runs of the same Table-2 config —
   // thread pool active, arena shuffle buckets, prepared-geometry cache —
   // must produce byte-identical reports: no scheduling-dependent modeled
-  // quantity may exist in the zero-copy plane.
+  // quantity may exist in the data plane.
   const VirtualTimeGuard vt;
   const PlaneBench b = PlaneBench::make();
   for (const auto kind :
@@ -378,39 +377,6 @@ TEST(DataPlane, TracedRunReportsBitIdenticalToUntraced) {
       EXPECT_TRUE(untraced.trace.empty()) << tag;
       expect_timeline_sane(traced, tag);
     }
-  }
-}
-
-TEST(DataPlane, ZeroCopyPlaneChargesIdenticalModeledQuantities) {
-  // The accounting-invariance contract: flipping zero_copy_plane changes
-  // how the harness holds records, never what the simulator charges.
-  const VirtualTimeGuard vt;
-  const PlaneBench b = PlaneBench::make();
-  {
-    systems::SpatialHadoopConfig seed_cfg;
-    seed_cfg.zero_copy_plane = false;
-    seed_cfg.policy.shuffle_filter = false;  // isolate the plane; filter has its own tests
-    systems::SpatialHadoopConfig zc_cfg;
-    zc_cfg.zero_copy_plane = true;
-    zc_cfg.policy.shuffle_filter = false;
-    const auto seed =
-        systems::run_spatial_hadoop(b.left, b.right, b.query, b.exec, seed_cfg);
-    const auto zc = systems::run_spatial_hadoop(b.left, b.right, b.query, b.exec, zc_cfg);
-    ASSERT_TRUE(seed.success) << seed.failure_reason;
-    expect_reports_identical(seed, zc, "spatialhadoop seed-vs-zero-copy");
-  }
-  {
-    systems::SpatialSparkConfig seed_cfg;
-    seed_cfg.zero_copy_plane = false;
-    seed_cfg.policy.shuffle_filter = false;  // isolate the plane; filter has its own tests
-    systems::SpatialSparkConfig zc_cfg;
-    zc_cfg.zero_copy_plane = true;
-    zc_cfg.policy.shuffle_filter = false;
-    const auto seed =
-        systems::run_spatial_spark(b.left, b.right, b.query, b.exec, seed_cfg);
-    const auto zc = systems::run_spatial_spark(b.left, b.right, b.query, b.exec, zc_cfg);
-    ASSERT_TRUE(seed.success) << seed.failure_reason;
-    expect_reports_identical(seed, zc, "spatialspark seed-vs-zero-copy");
   }
 }
 

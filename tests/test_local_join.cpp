@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/local_join.hpp"
+#include "geom/predicates.hpp"
 #include "util/rng.hpp"
 
 namespace sjc::core {
@@ -16,6 +17,18 @@ std::vector<geom::Feature> point_features(const std::vector<geom::Coord>& coords
   for (std::size_t i = 0; i < coords.size(); ++i) {
     out.push_back({base_id + i, geom::Geometry::point(coords[i].x, coords[i].y)});
   }
+  return out;
+}
+
+/// Joins `left` x `right` keeping every refined pair (no dedup filter).
+std::vector<JoinPair> join_all(const std::vector<geom::Feature>& left,
+                               const std::vector<geom::Feature>& right,
+                               const LocalJoinSpec& spec) {
+  LocalJoinScratch scratch;
+  std::vector<JoinPair> out;
+  run_local_join(std::span<const geom::Feature>(left),
+                 std::span<const geom::Feature>(right), spec, AcceptAllPairs{}, scratch,
+                 out);
   return out;
 }
 
@@ -47,10 +60,7 @@ TEST(EvaluatePredicate, AllThreePredicates) {
 }
 
 TEST(LocalJoin, EmptySidesProduceNothing) {
-  LocalJoinSpec spec;
-  std::vector<JoinPair> out;
-  run_local_join({}, {}, spec, nullptr, out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(join_all({}, {}, LocalJoinSpec{}).empty());
 }
 
 TEST(LocalJoin, PointInPolygonPairs) {
@@ -59,8 +69,7 @@ TEST(LocalJoin, PointInPolygonPairs) {
       {100, geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}})}};
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithin;
-  std::vector<JoinPair> out;
-  run_local_join(left, right, spec, nullptr, out);
+  const std::vector<JoinPair> out = join_all(left, right, spec);
   std::set<JoinPair> got(out.begin(), out.end());
   EXPECT_EQ(got, (std::set<JoinPair>{{0, 100}, {2, 100}}));
 }
@@ -82,8 +91,7 @@ TEST(LocalJoin, EnginesProduceIdenticalPairs) {
     LocalJoinSpec spec;
     spec.engine = &engine;
     spec.predicate = JoinPredicate::kWithin;
-    std::vector<JoinPair> out;
-    run_local_join(left, right, spec, nullptr, out);
+    std::vector<JoinPair> out = join_all(left, right, spec);
     std::sort(out.begin(), out.end());
     return out;
   };
@@ -111,8 +119,7 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
         index::LocalJoinAlgorithm::kNestedLoop}) {
     LocalJoinSpec spec;
     spec.algorithm = algo;
-    std::vector<JoinPair> out;
-    run_local_join(left, right, spec, nullptr, out);
+    std::vector<JoinPair> out = join_all(left, right, spec);
     std::sort(out.begin(), out.end());
     results.push_back(std::move(out));
   }
@@ -123,9 +130,8 @@ TEST(LocalJoin, AllAlgorithmsProduceIdenticalPairs) {
 }
 
 // Cross-algorithm x cross-path equivalence: every MBR-join algorithm,
-// through both the std::function compatibility overload and the templated
-// scratch-reusing hot path (with and without a PreparedCache), must produce
-// the same pair multiset on seeded random workloads.
+// through the scratch-reusing path with and without a PreparedCache, must
+// produce the same pair multiset on seeded random workloads.
 TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
   for (const std::uint64_t seed : {11u, 23u, 37u}) {
     Rng rng(seed);
@@ -156,11 +162,6 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
       LocalJoinSpec spec;
       spec.algorithm = algo;
 
-      std::vector<JoinPair> via_function;
-      run_local_join(left, right, spec, nullptr, via_function);
-      std::sort(via_function.begin(), via_function.end());
-      results.push_back(std::move(via_function));
-
       std::vector<JoinPair> via_template;
       run_local_join(std::span<const geom::Feature>(left),
                      std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
@@ -186,10 +187,40 @@ TEST(LocalJoin, AllAlgorithmsAndPathsProduceIdenticalPairs) {
   }
 }
 
-// Batched vs per-pair refinement: spec.batch_refine must not change a
-// single emitted pair — not even their order — across predicates and cache
-// configurations, and the refine.* counters must account every candidate.
-TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
+/// Brute-force ground truth: every (left, right) pair tested with the naive
+/// reference predicates — no MBR filter, no index, no prepared structures.
+std::vector<JoinPair> naive_oracle(const std::vector<geom::Feature>& left,
+                                   const std::vector<geom::Feature>& right,
+                                   JoinPredicate predicate, double distance) {
+  std::vector<JoinPair> out;
+  for (const auto& l : left) {
+    for (const auto& r : right) {
+      bool hit = false;
+      switch (predicate) {
+        case JoinPredicate::kIntersects:
+          hit = geom::intersects_naive(l.geometry, r.geometry);
+          break;
+        case JoinPredicate::kWithin:
+          hit = geom::contains_naive(r.geometry, l.geometry);
+          break;
+        case JoinPredicate::kWithinDistance:
+          hit = geom::within_distance_naive(l.geometry, r.geometry, distance);
+          break;
+      }
+      if (hit) out.push_back({l.id, r.id});
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Three independent refinement paths must agree: the Prepared engine's
+// batched BatchRefiner path (with and without a PreparedCache), the Simple
+// engine's per-pair path, and a nested loop over the naive predicates. The
+// two engines must emit the same pairs in the same order, the oracle must
+// hold the same pair set, and the refine.* counters must account every
+// candidate on both engines.
+TEST(LocalJoin, PreparedSimpleAndNaiveOracleAgreeWithAccounting) {
   for (const std::uint64_t seed : {5u, 17u}) {
     Rng rng(seed);
     std::vector<geom::Feature> left;
@@ -213,54 +244,63 @@ TEST(LocalJoin, BatchRefineOnOffBitIdenticalWithAccounting) {
     for (const auto predicate :
          {JoinPredicate::kIntersects, JoinPredicate::kWithin,
           JoinPredicate::kWithinDistance}) {
-      for (const bool use_cache : {false, true}) {
-        geom::PreparedCache cache;
-        LocalJoinScratch scratch;
-        const auto run = [&](bool batch) {
-          cluster::Counters counters;
-          LocalJoinSpec spec;
-          spec.predicate = predicate;
-          spec.within_distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
-          spec.batch_refine = batch;
-          spec.prepared_cache = use_cache ? &cache : nullptr;
-          spec.refine_counters = &counters;
-          std::vector<JoinPair> out;
-          run_local_join(std::span<const geom::Feature>(left),
-                         std::span<const geom::Feature>(right), spec, AcceptAllPairs{},
-                         scratch, out);
-          return std::pair(std::move(out), counters.snapshot());
-        };
-        const auto [pairs_off, counters_off] = run(false);
-        const auto [pairs_on, counters_on] = run(true);
-        // Bit-identical including emission order.
-        EXPECT_EQ(pairs_on, pairs_off)
-            << "seed " << seed << " predicate " << static_cast<int>(predicate);
-        EXPECT_GT(pairs_on.size(), 0u);
-        const auto get = [](const std::map<std::string, std::uint64_t>& m,
-                            const char* key) {
-          const auto it = m.find(key);
-          return it == m.end() ? std::uint64_t{0} : it->second;
-        };
-        const std::uint64_t cand = get(counters_off, "refine.candidates");
-        EXPECT_EQ(get(counters_on, "refine.candidates"), cand);
-        EXPECT_GT(cand, 0u);
-        // Per-pair mode: every candidate is an exact test.
-        EXPECT_EQ(get(counters_off, "refine.exact_tests"), cand);
-        EXPECT_EQ(get(counters_off, "refine.early_accepts"), 0u);
-        EXPECT_EQ(get(counters_off, "refine.early_rejects"), 0u);
-        // Batched mode: the three buckets partition the candidates.
-        EXPECT_EQ(get(counters_on, "refine.exact_tests") +
-                      get(counters_on, "refine.early_accepts") +
-                      get(counters_on, "refine.early_rejects"),
-                  cand);
-        // Both modes: every exact test is classified fastpath or slowpath
-        // by the adaptive exact predicate.
-        EXPECT_EQ(get(counters_off, "refine.exact_fastpath") +
-                      get(counters_off, "refine.exact_slowpath"),
-                  get(counters_off, "refine.exact_tests"));
-        EXPECT_EQ(get(counters_on, "refine.exact_fastpath") +
-                      get(counters_on, "refine.exact_slowpath"),
-                  get(counters_on, "refine.exact_tests"));
+      const double distance = predicate == JoinPredicate::kWithinDistance ? 1.5 : 0.0;
+      const std::string tag =
+          "seed " + std::to_string(seed) + " predicate " + join_predicate_name(predicate);
+      const auto run = [&](const geom::GeometryEngine& engine,
+                           geom::PreparedCache* cache) {
+        cluster::Counters counters;
+        LocalJoinSpec spec;
+        spec.engine = &engine;
+        spec.predicate = predicate;
+        spec.within_distance = distance;
+        spec.prepared_cache = cache;
+        spec.refine_counters = &counters;
+        std::vector<JoinPair> out = join_all(left, right, spec);
+        return std::pair(std::move(out), counters.snapshot());
+      };
+      geom::PreparedCache cache;
+      const auto [prepared, prepared_counters] =
+          run(geom::GeometryEngine::prepared(), nullptr);
+      const auto [cached, cached_counters] =
+          run(geom::GeometryEngine::prepared(), &cache);
+      const auto [simple, simple_counters] = run(geom::GeometryEngine::simple(), nullptr);
+
+      // Same pairs, same emission order, on every engine path.
+      EXPECT_EQ(prepared, simple) << tag;
+      EXPECT_EQ(cached, simple) << tag;
+      EXPECT_EQ(cached_counters, prepared_counters) << tag;
+      EXPECT_GT(simple.size(), 0u) << tag;
+      // The same pair set as the brute-force oracle.
+      std::vector<JoinPair> sorted = simple;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, naive_oracle(left, right, predicate, distance)) << tag;
+
+      const auto get = [](const std::map<std::string, std::uint64_t>& m,
+                          const char* key) {
+        const auto it = m.find(key);
+        return it == m.end() ? std::uint64_t{0} : it->second;
+      };
+      const std::uint64_t cand = get(simple_counters, "refine.candidates");
+      EXPECT_EQ(get(prepared_counters, "refine.candidates"), cand) << tag;
+      EXPECT_GT(cand, 0u) << tag;
+      // Simple engine: every candidate is an exact test.
+      EXPECT_EQ(get(simple_counters, "refine.exact_tests"), cand) << tag;
+      EXPECT_EQ(get(simple_counters, "refine.early_accepts"), 0u) << tag;
+      EXPECT_EQ(get(simple_counters, "refine.early_rejects"), 0u) << tag;
+      // Prepared engine: the three buckets partition the candidates.
+      EXPECT_EQ(get(prepared_counters, "refine.exact_tests") +
+                    get(prepared_counters, "refine.early_accepts") +
+                    get(prepared_counters, "refine.early_rejects"),
+                cand)
+          << tag;
+      // Both engines: every exact test is classified fastpath or slowpath
+      // by the adaptive exact predicate.
+      for (const auto* counters : {&simple_counters, &prepared_counters}) {
+        EXPECT_EQ(get(*counters, "refine.exact_fastpath") +
+                      get(*counters, "refine.exact_slowpath"),
+                  get(*counters, "refine.exact_tests"))
+            << tag;
       }
     }
   }
@@ -272,12 +312,14 @@ TEST(LocalJoin, AcceptFilterDropsPairs) {
       {9, geom::Geometry::polygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}})}};
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithin;
+  LocalJoinScratch scratch;
   std::vector<JoinPair> out;
-  run_local_join(left, right, spec,
+  run_local_join(std::span<const geom::Feature>(left),
+                 std::span<const geom::Feature>(right), spec,
                  [](const geom::Envelope& le, const geom::Envelope&) {
                    return le.min_x() > 1.5;  // keep only the (2,2) point
                  },
-                 out);
+                 scratch, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].left_id, 1u);
 }
@@ -289,8 +331,7 @@ TEST(LocalJoin, WithinDistancePredicate) {
   LocalJoinSpec spec;
   spec.predicate = JoinPredicate::kWithinDistance;
   spec.within_distance = 4.0;
-  std::vector<JoinPair> out;
-  run_local_join(left, right, spec, nullptr, out);
+  const std::vector<JoinPair> out = join_all(left, right, spec);
   // (0,0) is 3 away from the line; (0,10) is ~5.8 away.
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].left_id, 0u);

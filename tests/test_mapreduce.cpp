@@ -17,26 +17,21 @@ MrContext make_context(cluster::RunMetrics& metrics, dfs::SimDfs& fs,
 }
 
 // Word-count-shaped job: In = word, K = word, V = 1, Out = (word, count).
-MapReduceSpec<std::string, std::string, int, std::pair<std::string, int>> word_count() {
-  MapReduceSpec<std::string, std::string, int, std::pair<std::string, int>> spec;
-  spec.name = "wordcount";
-  spec.map = [](const std::string& word, const std::function<void(std::string, int)>& emit) {
-    emit(word, 1);
-  };
-  spec.reduce = [](const std::string& word, std::vector<int>& counts,
-                   std::vector<std::pair<std::string, int>>& out) {
-    int total = 0;
-    for (const int c : counts) total += c;
-    out.emplace_back(word, total);
-  };
-  spec.input_bytes = [](const std::string& w) { return w.size() + 1; };
-  spec.pair_bytes = [](const std::string& k, const int&) { return k.size() + 4; };
-  spec.output_bytes = [](const std::pair<std::string, int>& o) {
-    return o.first.size() + 8;
-  };
-  spec.key_less = std::less<std::string>();
-  spec.key_hash = std::hash<std::string>();
-  return spec;
+auto word_count() {
+  return make_typed_spec<std::string, std::string, int, std::pair<std::string, int>>(
+      "wordcount",
+      [](const std::string& word, const auto& emit) { emit(word, 1); },
+      [](const std::string& word, std::vector<int>& counts,
+         std::vector<std::pair<std::string, int>>& out) {
+        int total = 0;
+        for (const int c : counts) total += c;
+        out.emplace_back(word, total);
+      },
+      [](const std::string& w) -> std::uint64_t { return w.size() + 1; },
+      [](const std::string& k, const int&) -> std::uint64_t { return k.size() + 4; },
+      [](const std::pair<std::string, int>& o) -> std::uint64_t {
+        return o.first.size() + 8;
+      });
 }
 
 TEST(MapReduce, WordCountCorrectness) {
@@ -143,16 +138,6 @@ TEST(MapReduce, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
-TEST(MapReduce, MissingCallbacksRejected) {
-  cluster::RunMetrics metrics;
-  dfs::SimDfs fs({});
-  const auto spec_cluster = cluster::ClusterSpec::workstation();
-  MrContext ctx = make_context(metrics, fs, spec_cluster);
-  MapReduceSpec<int, int, int, int> bad;
-  bad.name = "bad";
-  EXPECT_THROW(run_map_reduce(ctx, bad, {{1}}), InvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
 // map-only jobs
 // ---------------------------------------------------------------------------
@@ -163,11 +148,10 @@ TEST(MapOnly, TransformsSplits) {
   const auto spec_cluster = cluster::ClusterSpec::workstation();
   MrContext ctx = make_context(metrics, fs, spec_cluster);
 
-  MapOnlySpec<int, int> spec;
-  spec.name = "square";
-  spec.map = [](const int& x, std::vector<int>& out) { out.push_back(x * x); };
-  spec.split_bytes = [](const int&) { return 8; };
-  spec.output_bytes = [](const int&) { return 8; };
+  const auto spec = make_typed_map_only_spec<int, int>(
+      "square", [](const int& x, std::vector<int>& out) { out.push_back(x * x); },
+      [](const int&) -> std::uint64_t { return 8; },
+      [](const int&) -> std::uint64_t { return 8; });
   const auto result = run_map_only(ctx, spec, {2, 3, 4});
   EXPECT_EQ(result, (std::vector<int>{4, 9, 16}));
   ASSERT_EQ(metrics.phases().size(), 1u);
@@ -194,60 +178,6 @@ TEST(MrContext, RemoteFraction) {
   MrContext ctx_ec2{&ec2, 1.0, nullptr, nullptr};
   EXPECT_DOUBLE_EQ(ctx_ws.remote_fraction(), 0.0);
   EXPECT_DOUBLE_EQ(ctx_ec2.remote_fraction(), 0.9);
-}
-
-}  // namespace
-}  // namespace sjc::mapreduce
-
-namespace sjc::mapreduce {
-namespace {
-
-TEST(MapReduce, CombinerPreservesResultAndCutsShuffle) {
-  const auto run = [](bool with_combiner) {
-    cluster::RunMetrics metrics;
-    dfs::SimDfs fs({});
-    const auto spec_cluster = cluster::ClusterSpec::workstation();
-    MrContext ctx{&spec_cluster, 1000.0, &fs, &metrics, nullptr};
-
-    MapReduceSpec<std::string, std::string, int, std::pair<std::string, int>> spec;
-    spec.name = "wc";
-    spec.map = [](const std::string& w,
-                  const std::function<void(std::string, int)>& emit) { emit(w, 1); };
-    spec.reduce = [](const std::string& w, std::vector<int>& counts,
-                     std::vector<std::pair<std::string, int>>& out) {
-      int total = 0;
-      for (const int c : counts) total += c;
-      out.emplace_back(w, total);
-    };
-    if (with_combiner) {
-      spec.combine = [](const std::string&, std::vector<int>& values,
-                        std::vector<int>& combined) {
-        int total = 0;
-        for (const int v : values) total += v;
-        combined.push_back(total);
-      };
-    }
-    spec.input_bytes = [](const std::string& w) { return w.size() + 1; };
-    spec.pair_bytes = [](const std::string& k, const int&) { return k.size() + 4; };
-    spec.output_bytes = [](const auto& o) { return o.first.size() + 8; };
-    spec.key_less = std::less<std::string>();
-    spec.key_hash = std::hash<std::string>();
-
-    // One split with many repeats: the combiner should crush it.
-    std::vector<std::string> split;
-    for (int i = 0; i < 100; ++i) split.push_back(i % 2 ? "a" : "b");
-    auto result = run_map_reduce(ctx, spec, {split});
-    std::sort(result.begin(), result.end());
-    return std::make_pair(result, metrics.phases()[1].bytes_shuffled);
-  };
-
-  const auto [plain, plain_shuffle] = run(false);
-  const auto [combined, combined_shuffle] = run(true);
-  EXPECT_EQ(plain, combined);
-  ASSERT_EQ(combined.size(), 2u);
-  EXPECT_EQ(combined[0].second, 50);
-  // 100 pairs shuffled without the combiner, 2 with it.
-  EXPECT_LT(combined_shuffle * 10, plain_shuffle);
 }
 
 }  // namespace
