@@ -66,12 +66,12 @@ struct LocalJoinSpec {
   /// filter (the two always sum to refine.exact_tests).
   cluster::Counters* refine_counters = nullptr;
 
-  /// Envelope expansion applied to BOTH sides throughout the pipeline
-  /// (partition assignment, MBR filter, reference point) for epsilon
-  /// (within-distance) joins: expanding each side by d/2 guarantees that
-  /// any pair within distance d has intersecting expanded envelopes.
+  /// The query's envelope expansion (JoinQueryConfig::envelope_expansion).
   double envelope_expansion() const {
-    return predicate == JoinPredicate::kWithinDistance ? within_distance / 2.0 : 0.0;
+    JoinQueryConfig query;
+    query.predicate = predicate;
+    query.within_distance = within_distance;
+    return query.envelope_expansion();
   }
 };
 

@@ -81,6 +81,15 @@ struct JoinQueryConfig {
   /// nested loop for SpatialSpark.
   std::optional<index::LocalJoinAlgorithm> local_algorithm;
   std::uint64_t seed = 7;
+
+  /// Envelope expansion applied to BOTH sides throughout the pipeline
+  /// (partition assignment, occupancy marks, MBR filter, reference point)
+  /// for epsilon (within-distance) joins: expanding each side by d/2
+  /// guarantees that any pair within distance d has intersecting expanded
+  /// envelopes. Zero for the other predicates.
+  double envelope_expansion() const {
+    return predicate == JoinPredicate::kWithinDistance ? within_distance / 2.0 : 0.0;
+  }
 };
 
 struct ExecutionConfig {

@@ -5,7 +5,8 @@
 // cross-cutting knob (`shuffle_filter` lived three times, once per system
 // config, and the adaptive-execution work would have added three more).
 // ExecPolicy is the single struct those knobs live in; each system config
-// embeds one and resolves the optionals against its own defaults.
+// embeds one, and the drivers resolve the optionals through the accessors
+// below, so every system shares one default per knob.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +50,11 @@ struct ExecPolicy {
   /// partition-based join per query via plan::choose_plan() instead of the
   /// static broadcast_join flag. Ignored by drivers with one path.
   bool cost_based_plan = false;
+
+  /// Whether the map-side shuffle filter runs (unset means on).
+  bool shuffle_filter_on() const { return shuffle_filter.value_or(true); }
+  /// Whether skew-aware repartitioning runs (unset means off).
+  bool repartition_on() const { return repartition.value_or(false); }
 };
 
 }  // namespace sjc::plan

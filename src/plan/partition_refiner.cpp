@@ -86,4 +86,12 @@ void record_repartition_counters(const RefineResult& result,
   counters.add("repartition.migrated_bytes", result.migrated_bytes);
 }
 
+void refine_in_place(partition::PartitionScheme& scheme, partition::PartitionerKind kind,
+                     const SkewPolicy& policy, const LoadProbe& probe,
+                     cluster::Counters* counters) {
+  RefineResult refined = PartitionRefiner(kind, policy).refine(scheme, probe);
+  if (counters != nullptr) record_repartition_counters(refined, *counters);
+  scheme = std::move(refined.scheme);
+}
+
 }  // namespace sjc::plan

@@ -84,4 +84,32 @@ class PartitionRefiner {
 void record_repartition_counters(const RefineResult& result,
                                  cluster::Counters& counters);
 
+/// The drivers' refinement step: replaces `scheme` by its refinement under
+/// PartitionRefiner(kind, policy) and records the repartition.* block into
+/// `counters` when non-null (from the result, before its scheme moves out).
+void refine_in_place(partition::PartitionScheme& scheme, partition::PartitionerKind kind,
+                     const SkewPolicy& policy, const LoadProbe& probe,
+                     cluster::Counters* counters);
+
+/// Adds one side's load to `loads` — the body of every driver's LoadProbe.
+/// Each record's envelope, expanded by `expand`, is assigned under `scheme`
+/// exactly as the shuffle assigns it, and `bytes_of(i)` (the system's own
+/// modeled shuffle bytes for the i-th record) is tallied into every
+/// assigned cell.
+template <class Envelopes, class BytesOf>
+void tally_cell_loads(const partition::PartitionScheme& scheme, double expand,
+                      const Envelopes& envelopes, BytesOf&& bytes_of,
+                      std::vector<CellLoad>& loads) {
+  std::vector<std::uint32_t> pids;
+  std::size_t i = 0;
+  for (const geom::Envelope& env : envelopes) {
+    scheme.assign_into(env.expanded_by(expand), pids);
+    const std::uint64_t bytes = bytes_of(i++);
+    for (const auto pid : pids) {
+      ++loads[pid].records;
+      loads[pid].bytes += bytes;
+    }
+  }
+}
+
 }  // namespace sjc::plan

@@ -56,18 +56,8 @@ core::RunReport ResidentEntry::run_join(const core::JoinQueryConfig& query) cons
       // it the entry executes a cold broadcast run over its own retained
       // datasets; either way the decision and the realized cost land in the
       // report's plan.* counters for the service's per-tenant stats.
-      const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
-          .left_records = left_.size(),
-          .right_records = right_.size(),
-          .left_bytes = left_.text_bytes(),
-          .right_bytes = right_.text_bytes(),
-          .record_overhead_bytes = config_.spatial_spark.record_overhead_bytes,
-          .replication_factor = std::nullopt,
-          .filter_selectivity = std::nullopt,
-          .cluster = config_.exec.cluster,
-          .data_scale = config_.exec.data_scale,
-          .resident = true,
-      });
+      const plan::PlanDecision decision = systems::choose_spatial_spark_plan(
+          left_, right_, config_.exec, config_.spatial_spark, /*resident=*/true);
       core::RunReport report;
       if (decision.chosen == plan::PlanKind::kBroadcastJoin) {
         systems::SpatialSparkConfig broadcast_cfg = config_.spatial_spark;

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <memory>
 
-#include "core/local_join.hpp"
+#include "core/join_pipeline.hpp"
 #include "geom/wkt.hpp"
 #include "index/rtree_dynamic.hpp"
 #include "partition/partitioner.hpp"
@@ -19,25 +19,13 @@ namespace sjc::systems {
 
 namespace {
 
+using core::chunk_lines;
 using core::JoinPair;
 using mapreduce::StreamingSpec;
 
-/// Splits `lines` into `n` contiguous chunks (HDFS block splits).
-std::vector<std::vector<std::string>> chunk_lines(std::vector<std::string> lines,
-                                                  std::size_t n) {
-  std::vector<std::vector<std::string>> out;
-  const std::size_t total = lines.size();
-  const std::size_t per = (total + n - 1) / std::max<std::size_t>(n, 1);
-  std::size_t i = 0;
-  while (i < total) {
-    const std::size_t end = std::min(i + per, total);
-    out.emplace_back(std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(i)),
-                     std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(end)));
-    i = end;
-  }
-  if (out.empty()) out.emplace_back();
-  return out;
-}
+/// The local join HadoopGIS runs: libspatialindex R-tree, insert-built per
+/// task (unless the query overrides the algorithm).
+constexpr auto kPaperAlgorithm = index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic;
 
 std::uint64_t lines_bytes(const std::vector<std::string>& lines) {
   std::uint64_t total = 0;
@@ -60,6 +48,41 @@ geom::Envelope parse_mbr_line(const std::string& line) {
   return {parse_double(nums.at(0)), parse_double(nums.at(1)), parse_double(nums.at(2)),
           parse_double(nums.at(3))};
 }
+
+/// Copies every line through: format conversion at this fidelity, a
+/// constant-key shuffle, the map half of sort-unique.
+void pass_through(const std::string& line, std::vector<std::string>& emit) {
+  emit.push_back(line);
+}
+
+/// cat | sort | uniq: input arrives sorted; drop exact duplicates.
+void sort_unique(const std::vector<std::string>& lines, std::vector<std::string>& emit) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
+  }
+}
+
+/// The partition index every mapper rebuilds from the broadcast partition
+/// file (an insert-built R-tree — a HadoopGIS design cost the paper calls
+/// out explicitly), with the scheme's nearest-cell fallback.
+class MapperCellIndex {
+ public:
+  explicit MapperCellIndex(const partition::PartitionScheme& scheme) : scheme_(&scheme) {
+    for (std::uint32_t pid = 0; pid < scheme.cell_count(); ++pid) {
+      tree_.insert(scheme.cells()[pid], pid);
+    }
+  }
+
+  std::vector<std::uint32_t> assign(const geom::Envelope& env) const {
+    std::vector<std::uint32_t> pids = tree_.query_ids(env);
+    if (pids.empty()) pids = scheme_->assign(env);
+    return pids;
+  }
+
+ private:
+  index::DynamicRTree tree_;
+  const partition::PartitionScheme* scheme_;
+};
 
 struct PreprocessedDataset {
   std::vector<std::string> partitioned_lines;  // "p<pid>\t<id>\t<wkt>[\t<pad>]"
@@ -88,20 +111,8 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       std::max<std::size_t>(gis.exec->cluster.total_slots(),
                             data.text_bytes() / ctx.dfs->config().block_size + 1);
 
-  // Raw input as it lands in HDFS, plus any junk rows the fault plan
-  // injects (extra lines, never corrupted real ones — so a run that
-  // quarantines them all joins bit-identically to the fault-free run).
-  auto raw_lines = workload::dataset_to_tsv(data, /*include_pad=*/true);
-  if (gis.config->faults.malformed_rows > 0) {
-    workload::inject_malformed_rows(
-        raw_lines, gis.config->faults.malformed_rows,
-        gis.config->faults.seed ^ std::hash<std::string>{}(tag));
-    if (ctx.counters != nullptr) {
-      ctx.counters->add("input.malformed_rows_injected",
-                        gis.config->faults.malformed_rows);
-    }
-  }
-  auto raw_splits = chunk_lines(std::move(raw_lines), split_count);
+  auto raw_splits = chunk_lines(
+      core::input_lines(data, tag, gis.config->faults, *ctx.counters), split_count);
   {
     std::uint64_t raw_bytes = 0;
     for (const auto& s : raw_splits) raw_bytes += lines_bytes(s);
@@ -112,11 +123,9 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   StreamingSpec convert;
   convert.name = tag + "/1-convert";
   convert.config = gis.streaming;
-  convert.map = [](const std::string& line, std::vector<std::string>& emit) {
-    // Format conversion: the real system rewrites OGR fields to TSV; the
-    // work that remains at this fidelity is copying every byte through.
-    emit.push_back(line);
-  };
+  // Format conversion: the real system rewrites OGR fields to TSV; the work
+  // that remains at this fidelity is copying every byte through.
+  convert.map = pass_through;
   auto converted = chunk_lines(
       mapreduce::run_streaming_map_only(ctx, convert, raw_splits), split_count);
   raw_splits.clear();
@@ -154,9 +163,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   extent_job.name = tag + "/3-extent";
   extent_job.config = gis.streaming;
   extent_job.config.mr.reduce_tasks = 1;
-  extent_job.map = [](const std::string& line, std::vector<std::string>& emit) {
-    emit.push_back(line);  // constant key "m": everything meets at one reducer
-  };
+  extent_job.map = pass_through;  // constant key "m": everything meets at one reducer
   extent_job.reduce = [](const std::vector<std::string>& lines,
                          std::vector<std::string>& emit) {
     geom::Envelope extent;
@@ -220,24 +227,16 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   const std::string assign_site = assign.name;
   assign.make_mapper = [&scheme, dup_records, quarantine,
                         assign_site](std::size_t) -> mapreduce::StreamingMapFn {
-    // Every mapper rebuilds the partition index (insert-built R-tree on the
-    // broadcast partition file) — a HadoopGIS design cost the paper calls
-    // out explicitly.
-    auto tree = std::make_shared<index::DynamicRTree>();
-    for (std::uint32_t pid = 0; pid < scheme.cell_count(); ++pid) {
-      tree->insert(scheme.cells()[pid], pid);
-    }
-    const auto* scheme_ptr = &scheme;
-    return [tree, scheme_ptr, dup_records, quarantine,
-            assign_site](const std::string& line, std::vector<std::string>& emit) {
+    auto cells = std::make_shared<const MapperCellIndex>(scheme);
+    return [cells, dup_records, quarantine, assign_site](
+               const std::string& line, std::vector<std::string>& emit) {
       std::string error;
       const auto f = workload::try_feature_from_tsv(line, &error);
       if (!f) {
         quarantine->divert(assign_site, line, error);
         return;
       }
-      std::vector<std::uint32_t> pids = tree->query_ids(f->geometry.envelope());
-      if (pids.empty()) pids = scheme_ptr->assign(f->geometry.envelope());
+      const std::vector<std::uint32_t> pids = cells->assign(f->geometry.envelope());
       if (!pids.empty()) {
         dup_records->fetch_add(pids.size() - 1, std::memory_order_relaxed);
       }
@@ -246,13 +245,7 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
       }
     };
   };
-  assign.reduce = [](const std::vector<std::string>& lines,
-                     std::vector<std::string>& emit) {
-    // cat | sort | uniq: input arrives sorted; drop exact duplicates.
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
-    }
-  };
+  assign.reduce = sort_unique;
   out.partitioned_lines = mapreduce::run_streaming(ctx, assign, converted);
   if (ctx.counters != nullptr) {
     ctx.counters->add("partition.duplicated_records",
@@ -261,52 +254,38 @@ PreprocessedDataset preprocess(GisContext& gis, const workload::Dataset& data,
   return out;
 }
 
-/// Steps (b) and (c) of the HadoopGIS join — the big distributed-join
-/// streaming job and the sort-unique dedup job — shared verbatim by the
-/// cold batch driver and the resident serving path: given the same inputs
-/// (partitioned line splits, joint scheme, occupancy bitmaps) both produce
-/// bit-identical pair sets and identical shuffle.* / refine.* / join.*
-/// counters. `shared_cache`, when non-null, is a cross-query
+/// Inputs of steps (b) and (c), built by the cold driver and kept resident
+/// for serving: the partitioned line files of both preprocessing pipelines,
+/// already chunked into the join job's splits (the chunking depends only on
+/// the cluster's slot count, fixed per catalog entry), the joint partition
+/// scheme and the occupancy bitmaps (absent when the shuffle filter is off).
+struct GisJoinInputs {
+  std::vector<std::vector<std::string>> splits;  // A chunks then B chunks
+  std::size_t n_a = 0;
+  std::optional<partition::PartitionScheme> joint_scheme;
+  std::optional<core::SymmetricFilter> filters;
+};
+
+/// Step (b): the big distributed-join streaming job. Returns the pair lines
+/// before dedup. `shared_cache`, when non-null, is a cross-query
 /// geom::PreparedCache owned by the caller (the serving catalog); the
 /// cache-hit counters always record only this run's delta.
-std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
-                                   const mapreduce::StreamingConfig& streaming,
-                                   const core::JoinQueryConfig& query,
-                                   const core::ExecutionConfig& exec,
-                                   const HadoopGisConfig& config,
-                                   const partition::PartitionScheme& joint_scheme,
-                                   const geom::OccupancyFilter* filt_a,
-                                   const geom::OccupancyFilter* filt_b,
-                                   bool filter_on,
-                                   const std::vector<std::vector<std::string>>& splits,
-                                   std::size_t n_a,
-                                   workload::RowQuarantine& quarantine_sink,
-                                   geom::PreparedCache* shared_cache,
-                                   core::RunReport& report) {
-  const std::size_t slots = exec.cluster.total_slots();
-
-  core::LocalJoinSpec local_spec;
-  local_spec.algorithm = query.local_algorithm.value_or(config.local_algorithm);
-  local_spec.engine = &geom::GeometryEngine::get(config.engine);
-  local_spec.predicate = query.predicate;
-  local_spec.within_distance = query.within_distance;
-  // Run-scoped bind() cache (or the caller's resident cache); inert under
-  // the default Simple (GEOS-analog) engine — run_local_join consults it
-  // only for the Prepared engine, so the system's measured per-call
-  // refinement cost is unchanged. A resident cache carries hit/miss history
-  // from earlier queries, so snapshot and report only this run's delta.
-  geom::PreparedCache local_cache;
-  geom::PreparedCache& prepared_cache =
-      shared_cache != nullptr ? *shared_cache : local_cache;
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
-  local_spec.prepared_cache = &prepared_cache;
-  // refine.* accounting (thread-safe; flushed once per run_local_join
-  // call). Under the default Simple engine every refined candidate counts
-  // as an exact test — the approximations are a Prepared-path feature.
-  local_spec.refine_counters = &report.counters;
-
-  const double expand = local_spec.envelope_expansion();
+std::vector<std::string> run_join_job(mapreduce::MrContext& ctx,
+                                      const mapreduce::StreamingConfig& streaming,
+                                      const core::JoinQueryConfig& query,
+                                      const HadoopGisConfig& config,
+                                      const GisJoinInputs& in,
+                                      workload::RowQuarantine& quarantine_sink,
+                                      geom::PreparedCache* shared_cache,
+                                      core::RunReport& report) {
+  // Inert under the default Simple (GEOS-analog) engine: run_local_join
+  // consults the cache only for the Prepared engine, so the system's
+  // measured per-call refinement cost is unchanged. Under the Simple engine
+  // every refined candidate counts as an exact test.
+  const core::LocalJoinScope local_join(query, kPaperAlgorithm, config.engine,
+                                        shared_cache, &report.counters);
+  const core::LocalJoinSpec& local_spec = local_join.spec();
+  const double expand = query.envelope_expansion();
 
   // Shared across map tasks; run_streaming executes user code exactly once
   // per task, so retries never double-count (same pattern as dup_records).
@@ -318,20 +297,18 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
   join_job.name = "join/b-distributed-join";
   join_job.config = streaming;
   workload::RowQuarantine* quarantine = &quarantine_sink;
-  join_job.make_mapper = [&joint_scheme, n_a, expand, quarantine, filt_a,
-                          filt_b, shuffle_assigned, shuffle_emitted,
+  join_job.make_mapper = [&in, expand, quarantine, shuffle_assigned, shuffle_emitted,
                           filtered_line_bytes](std::size_t task)
       -> mapreduce::StreamingMapFn {
-    const char side = task < n_a ? 'A' : 'B';
+    const char side = task < in.n_a ? 'A' : 'B';
     // Each side drops against the *other* side's occupancy bitmap.
-    const geom::OccupancyFilter* filt = side == 'A' ? filt_b : filt_a;
-    auto tree = std::make_shared<index::DynamicRTree>();
-    for (std::uint32_t pid = 0; pid < joint_scheme.cell_count(); ++pid) {
-      tree->insert(joint_scheme.cells()[pid], pid);
+    const geom::OccupancyFilter* filt = nullptr;
+    if (in.filters.has_value()) {
+      filt = side == 'A' ? &in.filters->right_marks : &in.filters->left_marks;
     }
-    const auto* scheme_ptr = &joint_scheme;
-    return [tree, scheme_ptr, side, expand, quarantine, filt, shuffle_assigned,
-            shuffle_emitted, filtered_line_bytes](
+    auto cells = std::make_shared<const MapperCellIndex>(*in.joint_scheme);
+    return [cells, side, expand, quarantine, filt, shuffle_assigned, shuffle_emitted,
+            filtered_line_bytes](
                const std::string& line, std::vector<std::string>& emit) {
       // Input lines look like "p<pid>\t<id>\t<wkt>[\t<pad>]": the stale
       // pid is skipped, the record re-parsed, the joint index queried.
@@ -346,8 +323,7 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       // intermediate copy of the record tail.
       const std::string_view rest = std::string_view(line).substr(line.find('\t') + 1);
       const geom::Envelope env = f.geometry.envelope().expanded_by(expand);
-      std::vector<std::uint32_t> pids = tree->query_ids(env);
-      if (pids.empty()) pids = scheme_ptr->assign(env);
+      std::vector<std::uint32_t> pids = cells->assign(env);
       if (filt != nullptr) {
         shuffle_assigned->fetch_add(pids.size(), std::memory_order_relaxed);
         // Drop tile copies with no occupied slot under the envelope: the
@@ -398,19 +374,17 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       const std::string_view key = mapreduce::streaming_key(lines[i]);
       std::vector<geom::Feature> left_features;
       std::vector<geom::Feature> right_features;
-      while (i < lines.size() && mapreduce::streaming_key(lines[i]) == key) {
-        static thread_local std::vector<std::string_view> fields;
-        split_into(lines[i], '\t', fields);
+      for (; i < lines.size() && mapreduce::streaming_key(lines[i]) == key; ++i) {
+        const std::string& line = lines[i];
         std::string error;
-        auto f = workload::try_feature_from_tsv_at(lines[i], 2, &error);
+        auto f = workload::try_feature_from_tsv_at(line, 2, &error);
         if (!f) {
-          quarantine->divert("join/b-distributed-join.reduce", lines[i], error);
-          ++i;
+          quarantine->divert("join/b-distributed-join.reduce", line, error);
           continue;
         }
-        (fields.at(1) == "A" ? left_features : right_features)
-            .push_back(std::move(*f));
-        ++i;
+        // "j<pid>\t<side>\t<record>": the side tag follows the first tab.
+        const char side = line[line.find('\t') + 1];
+        (side == 'A' ? left_features : right_features).push_back(std::move(*f));
       }
       std::vector<JoinPair> pairs;
       auto scratch = scratch_pool.acquire();
@@ -422,8 +396,8 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
       }
     }
   };
-  const auto pair_lines = mapreduce::run_streaming(ctx, join_job, splits);
-  if (filter_on) {
+  auto pair_lines = mapreduce::run_streaming(ctx, join_job, in.splits);
+  if (in.filters.has_value()) {
     const std::uint64_t assigned = shuffle_assigned->load(std::memory_order_relaxed);
     const std::uint64_t emitted = shuffle_emitted->load(std::memory_order_relaxed);
     report.counters.add("shuffle.assigned_records", assigned);
@@ -433,26 +407,34 @@ std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
                         filtered_line_bytes->load(std::memory_order_relaxed));
   }
   report.counters.add("join.pair_lines_before_dedup", pair_lines.size());
-  report.counters.add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-  report.counters.add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
+  return pair_lines;
+}
+
+/// Steps (b) and (c) of the HadoopGIS join — the distributed-join job and
+/// the sort-unique dedup job — shared verbatim by the cold batch driver and
+/// the resident serving path: given the same inputs both produce
+/// bit-identical pair sets and identical shuffle.* / refine.* / join.*
+/// counters.
+std::vector<JoinPair> run_gis_join(mapreduce::MrContext& ctx,
+                                   const mapreduce::StreamingConfig& streaming,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   const HadoopGisConfig& config,
+                                   const GisJoinInputs& in,
+                                   workload::RowQuarantine& quarantine_sink,
+                                   geom::PreparedCache* shared_cache,
+                                   core::RunReport& report) {
+  const auto pair_lines = run_join_job(ctx, streaming, query, config, in,
+                                       quarantine_sink, shared_cache, report);
 
   // ---- Step (c): sort-unique dedup job ------------------------------------
   StreamingSpec dedup;
   dedup.name = "join/c-dedup";
   dedup.config = streaming;
-  dedup.map = [](const std::string& line, std::vector<std::string>& emit) {
-    emit.push_back(line);
-  };
-  dedup.reduce = [](const std::vector<std::string>& lines,
-                    std::vector<std::string>& emit) {
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (i == 0 || lines[i] != lines[i - 1]) emit.push_back(lines[i]);
-    }
-  };
-  const auto final_lines =
-      mapreduce::run_streaming(ctx, dedup, chunk_lines(pair_lines, slots));
+  dedup.map = pass_through;
+  dedup.reduce = sort_unique;
+  const auto final_lines = mapreduce::run_streaming(
+      ctx, dedup, chunk_lines(pair_lines, exec.cluster.total_slots()));
 
   report.counters.add("join.pair_lines_after_dedup", final_lines.size());
   std::vector<JoinPair> pairs;
@@ -477,36 +459,12 @@ mapreduce::StreamingConfig make_streaming_config(const core::ExecutionConfig& ex
   return streaming;
 }
 
-dfs::DfsConfig gis_dfs_config(const core::JoinQueryConfig& query,
-                              const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
-}
-
 }  // namespace
 
 /// Everything the serving layer keeps resident between queries for one
-/// dataset pair: the partitioned line files both preprocessing pipelines
-/// produced (already chunked into the join job's splits — the chunking
-/// depends only on the cluster's slot count, which is fixed per catalog
-/// entry), the joint partition scheme, the occupancy bitmaps, and the
-/// ingest-time counters — replayed into every resident query's report so
-/// the full counter set matches a cold batch run exactly.
-struct HadoopGisResident::Impl {
-  std::vector<std::vector<std::string>> splits;  // A chunks then B chunks
-  std::size_t n_a = 0;
-  std::optional<partition::PartitionScheme> joint_scheme;
-  std::unique_ptr<geom::OccupancyFilter> sfilter_a;  // A occupancy, filters B
-  std::unique_ptr<geom::OccupancyFilter> sfilter_b;  // B occupancy, filters A
-  bool filter_on = false;
-  double expand = 0.0;
-  cluster::Counters ingest_counters;
-  core::RunReport build_report;
+/// dataset pair: the shared resident contract plus the join job's inputs.
+struct HadoopGisResident::Impl : core::ResidentBase {
+  GisJoinInputs join;
 };
 
 namespace {
@@ -517,28 +475,24 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                                     const core::ExecutionConfig& exec,
                                     const HadoopGisConfig& config,
                                     HadoopGisResident::Impl* capture) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   // Two sinks so the ingest share of the quarantine counters can be captured
-  // for resident replay; a cold run's totals are the sum of both, identical
-  // to the seed single-sink accounting.
+  // for resident replay; a cold run's totals are the sum of both.
   workload::RowQuarantine build_quarantine;
   workload::RowQuarantine join_quarantine;
-  // Ingest counters accumulate separately and are merged into the run's
-  // counters once preprocessing is done — totals are unchanged for a cold
-  // run, and a resident build keeps the ingest share for replay.
+  // Preprocessing counts into its own sink, folded into the run's counters
+  // by the epilogue — totals are unchanged for a cold run (failed or not),
+  // and a resident build keeps the ingest share for replay.
   cluster::Counters ingest_counters;
-  bool ingest_merged = false;
 
-  try {
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
     // Fault-plan validation (FaultInjector's constructor) and DFS setup can
-    // throw on a bad plan: inside the try so a chaos-generated invalid plan
+    // throw on a bad plan: inside the body so a chaos-generated invalid plan
     // reports a structured Status instead of escaping the driver.
-    dfs::SimDfs dfs(gis_dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &ingest_counters, &faults};
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = trace;
 
     const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
 
@@ -567,17 +521,15 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
                                   joint_scheme.size_bytes());
 
     // ---- Global+local join step (b) inputs ---------------------------------
+    GisJoinInputs in;
     const std::size_t slots = exec.cluster.total_slots();
-    auto splits_a = chunk_lines(std::move(pa.partitioned_lines), slots);
-    const std::size_t n_a = splits_a.size();
-    {
-      auto splits_b = chunk_lines(std::move(pb.partitioned_lines), slots);
-      for (auto& s : splits_b) splits_a.push_back(std::move(s));
+    in.splits = chunk_lines(std::move(pa.partitioned_lines), slots);
+    in.n_a = in.splits.size();
+    for (auto& s : chunk_lines(std::move(pb.partitioned_lines), slots)) {
+      in.splits.push_back(std::move(s));
     }
 
-    const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                              ? query.within_distance / 2.0
-                              : 0.0;
+    const double expand = query.envelope_expansion();
 
     // ---- Global join step (a1): optional skew-aware tile refinement ---------
     // Probe the per-tile load the join mappers below would push through the
@@ -585,33 +537,20 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // datasets, tallied instead of emitted), split hotspot tiles on the
     // master, and rewrite the partition file — the filter bitmaps and the
     // join job then see the refined tile set.
-    if (config.policy.repartition.value_or(false)) {
+    if (config.policy.repartition_on()) {
       CpuStopwatch skew_cpu;
-      const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
       const auto probe = [&](const partition::PartitionScheme& s) {
         std::vector<plan::CellLoad> loads(s.cell_count());
-        std::vector<std::uint32_t> pids;
-        const auto tally = [&](const workload::Dataset& data) {
-          const auto envs = data.envelopes();
-          for (std::size_t i = 0; i < envs.size(); ++i) {
-            s.assign_into(envs[i].expanded_by(expand), pids);
-            const std::uint64_t bytes = 4 + data.record_text_bytes(i);
-            for (const auto pid : pids) {
-              ++loads[pid].records;
-              loads[pid].bytes += bytes;
-            }
-          }
-        };
-        tally(left);
-        tally(right);
+        for (const workload::Dataset* data : {&left, &right}) {
+          plan::tally_cell_loads(
+              s, expand, data->envelopes(),
+              [data](std::size_t i) { return 4 + data->record_text_bytes(i); }, loads);
+        }
         return loads;
       };
-      plan::RefineResult refined = refiner.refine(joint_scheme, probe);
-      if (ctx.counters != nullptr) {
-        plan::record_repartition_counters(refined, *ctx.counters);
-      }
       const std::uint64_t before_bytes = joint_scheme.size_bytes();
-      joint_scheme = std::move(refined.scheme);
+      plan::refine_in_place(joint_scheme, query.partitioner, config.policy.skew, probe,
+                            ctx.counters);
       dfs.put("join.partitions", std::any(), joint_scheme.size_bytes());
       mapreduce::charge_master_step(ctx, "join/a1-skew-refine", skew_cpu.seconds(),
                                     before_bytes, joint_scheme.size_bytes());
@@ -626,90 +565,38 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // geometry in that tile, and B-side mappers drop against the A bitmap —
     // before the line is pushed through the streaming pipe. Both bitmaps
     // ship to every mapper via the distributed cache.
-    const bool filter_on = config.policy.shuffle_filter.value_or(true);
-    std::unique_ptr<geom::OccupancyFilter> sfilter_b;  // B occupancy, filters A
-    std::unique_ptr<geom::OccupancyFilter> sfilter_a;  // A occupancy, filters B
-    if (filter_on) {
+    if (config.policy.shuffle_filter_on()) {
       CpuStopwatch filter_cpu;
-      const auto build_occupancy = [&](const workload::Dataset& data) {
-        auto filter = std::make_unique<geom::OccupancyFilter>(joint_scheme.cells());
-        const auto envs = data.envelopes();
-        std::vector<std::uint32_t> mark_pids;
-        for (std::size_t i = 0; i < envs.size(); ++i) {
-          const geom::Envelope env = envs[i].expanded_by(expand);
-          joint_scheme.assign_into(env, mark_pids);
-          for (const auto pid : mark_pids) filter->mark(pid, env);
-        }
-        return filter;
-      };
-      sfilter_b = build_occupancy(right);
-      sfilter_a = build_occupancy(left);
-      dfs.put("join.sfilter", std::any(),
-              sfilter_a->size_bytes() + sfilter_b->size_bytes());
+      in.filters = core::build_symmetric_filter(joint_scheme, expand, left.envelopes(),
+                                                right.envelopes());
+      dfs.put("join.sfilter", std::any(), in.filters->size_bytes());
       mapreduce::charge_master_step(ctx, "join/a2-filter-build", filter_cpu.seconds(),
                                     left.text_bytes() + right.text_bytes(),
-                                    sfilter_a->size_bytes() + sfilter_b->size_bytes());
+                                    in.filters->size_bytes());
     }
-    const geom::OccupancyFilter* filt_b = sfilter_b.get();
-    const geom::OccupancyFilter* filt_a = sfilter_a.get();
+    in.joint_scheme.emplace(std::move(joint_scheme));
 
-    // Preprocessing is done: fold its counters (including its quarantined
-    // rows) into the run and point the context at the run's counters for
-    // the join jobs.
-    build_quarantine.flush_counters(ingest_counters);
-    report.counters.merge(ingest_counters);
-    ingest_merged = true;
+    // Preprocessing is done: the join jobs count into the run's counters.
     ctx.counters = &report.counters;
-
-    if (capture != nullptr) {
-      capture->splits = splits_a;
-      capture->n_a = n_a;
-      capture->joint_scheme.emplace(joint_scheme);
-      if (sfilter_a != nullptr) {
-        capture->sfilter_a = std::make_unique<geom::OccupancyFilter>(*sfilter_a);
-        capture->sfilter_b = std::make_unique<geom::OccupancyFilter>(*sfilter_b);
-      }
-      capture->filter_on = filter_on;
-      capture->expand = expand;
-      capture->ingest_counters = ingest_counters;
-    }
+    if (capture != nullptr) capture->join = in;
     // ---- Steps (b) + (c): join + dedup streaming jobs -----------------------
-    std::vector<JoinPair> pairs =
-        run_gis_join(ctx, streaming, query, exec, config, joint_scheme, filt_a,
-                     filt_b, filter_on, splits_a, n_a, join_quarantine,
-                     /*shared_cache=*/nullptr, report);
-
-    report.success = true;
-    report.status = Status::Ok();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    if (exec.collect_pairs) report.pairs = std::move(pairs);
-  } catch (const SjcError& e) {
-    // BrokenPipe (pipe overflow past the retry budget), TaskFailed
-    // (injected crash exhausting attempts), BlockUnavailable (all replicas
-    // of an input lost), DeadlineExceeded / RetryBudgetExhausted (lifecycle
-    // enforcement), InvalidArgument (a bad fault plan): every library error
-    // becomes a structured Status — nothing escapes the driver.
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-  }
-
-  // A failure mid-preprocessing leaves the ingest share unmerged: fold it in
-  // here so failed runs report the same counters as the seed single-counter
-  // accounting did.
-  if (!ingest_merged) {
+    core::record_result(report,
+                        run_gis_join(ctx, streaming, query, exec, config, in,
+                                     join_quarantine, /*shared_cache=*/nullptr, report),
+                        exec);
+  };
+  // BrokenPipe (pipe overflow past the retry budget), TaskFailed (injected
+  // crash exhausting attempts), BlockUnavailable (all replicas of an input
+  // lost), DeadlineExceeded / RetryBudgetExhausted (lifecycle enforcement)
+  // and InvalidArgument (a bad fault plan) all end as a structured Status;
+  // a failed run still reports the IA/IB/DJ its finished phases took.
+  return core::run_reported(exec, body, [&](core::RunReport& report) {
     build_quarantine.flush_counters(ingest_counters);
     report.counters.merge(ingest_counters);
-  }
-  join_quarantine.flush_counters(report.counters);
-  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
-  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
-  return report;
+    if (capture != nullptr) capture->ingest_counters = ingest_counters;
+    join_quarantine.flush_counters(report.counters);
+    core::record_breakdown(report);
+  });
 }
 
 }  // namespace
@@ -723,8 +610,7 @@ core::RunReport run_hadoop_gis(const workload::Dataset& left,
 }
 
 const core::RunReport& HadoopGisResident::build_report() const {
-  require(impl_ != nullptr, "HadoopGisResident: not built");
-  return impl_->build_report;
+  return core::require_built(impl_, "HadoopGisResident").build_report;
 }
 
 HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
@@ -733,11 +619,9 @@ HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
                                             const core::ExecutionConfig& exec,
                                             const HadoopGisConfig& config) {
   auto impl = std::make_shared<HadoopGisResident::Impl>();
-  impl->build_report =
-      run_hadoop_gis_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.success,
-          "hadoop_gis_build_resident: build run failed: " +
-              impl->build_report.failure_reason);
+  impl->build(query, "hadoop_gis_build_resident", [&] {
+    return run_hadoop_gis_impl(left, right, query, exec, config, impl.get());
+  });
   HadoopGisResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -748,60 +632,29 @@ core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
                                         const core::ExecutionConfig& exec,
                                         const HadoopGisConfig& config,
                                         geom::PreparedCache* shared_cache) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
+  const HadoopGisResident::Impl& impl =
+      core::require_built(resident.impl_, "run_hadoop_gis_resident");
   workload::RowQuarantine join_quarantine;
-
-  try {
-    require(resident.impl_ != nullptr, "run_hadoop_gis_resident: not built");
-    const HadoopGisResident::Impl& impl = *resident.impl_;
-    {
-      core::LocalJoinSpec probe;
-      probe.predicate = query.predicate;
-      probe.within_distance = query.within_distance;
-      require(probe.envelope_expansion() == impl.expand,
-              "run_hadoop_gis_resident: query envelope expansion does not "
-              "match the resident build");
-    }
-
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
+    impl.begin_query(query, "run_hadoop_gis_resident", report);
     // Fresh runtime per query — a serving process answers each query on its
     // own simulated job, like the indexed SpatialHadoop path. The
     // preprocessing products (partition scheme, bitmaps, partitioned lines)
     // come from the catalog; no A/ or B/ phase runs, so IA/IB report as 0.
-    dfs::SimDfs dfs(gis_dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &report.counters};
-    if (exec.trace) ctx.trace = &collector;
-    const mapreduce::StreamingConfig streaming = make_streaming_config(exec, config);
-
-    // Replay the ingest-time counters so the resident report's counter set
-    // (partition.*, quarantine.*, ...) matches a cold batch run exactly.
-    report.counters.merge(impl.ingest_counters);
-
-    std::vector<JoinPair> pairs = run_gis_join(
-        ctx, streaming, query, exec, config, *impl.joint_scheme,
-        impl.sfilter_a.get(), impl.sfilter_b.get(), impl.filter_on, impl.splits,
-        impl.n_a, join_quarantine, shared_cache, report);
-
-    report.success = true;
-    report.status = Status::Ok();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    if (exec.collect_pairs) report.pairs = std::move(pairs);
-  } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-  }
-
-  join_quarantine.flush_counters(report.counters);
-  report.index_a_seconds = 0.0;
-  report.index_b_seconds = 0.0;
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
-  return report;
+    ctx.trace = trace;
+    core::record_result(report,
+                        run_gis_join(ctx, make_streaming_config(exec, config), query,
+                                     exec, config, impl.join, join_quarantine,
+                                     shared_cache, report),
+                        exec);
+  };
+  return core::run_reported(exec, body, [&](core::RunReport& report) {
+    join_quarantine.flush_counters(report.counters);
+    core::record_breakdown(report);
+  });
 }
 
 }  // namespace sjc::systems

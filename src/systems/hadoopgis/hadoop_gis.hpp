@@ -57,9 +57,6 @@ struct HadoopGisConfig {
   /// tighter buffers/timeouts, the fragile path behind HadoopGIS's EC2
   /// failures. 1.0 disables.
   double multi_node_pipe_derating = 0.17;
-  /// Local join algorithm (libspatialindex R-tree, insert-built per task).
-  index::LocalJoinAlgorithm local_algorithm =
-      index::LocalJoinAlgorithm::kIndexedNestedLoopDynamic;
   /// Geometry engine for refinement. HadoopGIS ships GEOS (the Simple
   /// analog); overriding to kPrepared answers the paper's what-if: how much
   /// of HadoopGIS's slowness is the geometry library?
@@ -68,15 +65,15 @@ struct HadoopGisConfig {
   /// recovery budget (max_attempts, backoff, speculation). The default is
   /// trivial: no faults, first failure fatal — the seed model of Tables 2-3.
   cluster::FaultPlan faults;
-  /// Adaptive-execution knobs (see plan/exec_policy.hpp):
-  ///  - policy.shuffle_filter: master-side occupancy bitmap over the right
-  ///    dataset shipped to the join mappers via the distributed cache;
-  ///    A-side mappers drop tile line copies that provably match no B
-  ///    geometry before the line crosses the streaming pipe (sFilter
-  ///    analog). Unset resolves to on.
+  /// Adaptive-execution knobs (see plan/exec_policy.hpp for defaults):
+  ///  - policy.shuffle_filter: master-side occupancy bitmaps over both
+  ///    datasets shipped to the join mappers via the distributed cache;
+  ///    each side's mappers drop tile line copies that provably match no
+  ///    geometry of the other side before the line crosses the streaming
+  ///    pipe (sFilter analog).
   ///  - policy.repartition: probe per-tile load after the joint scheme is
   ///    derived on the master and split hotspot tiles before the join job's
-  ///    mappers re-assign both datasets; unset resolves to off.
+  ///    mappers re-assign both datasets.
   plan::ExecPolicy policy;
 };
 
@@ -135,7 +132,7 @@ HadoopGisResident hadoop_gis_build_resident(const workload::Dataset& left,
 /// (the serving catalog); it is consulted only under the Prepared engine,
 /// exactly like the cold path's run-scoped cache. The query must use the
 /// same envelope expansion as the build; a mismatch yields a
-/// kInvalidArgument report.
+/// kInvalidArgument report. Throws InvalidArgument on an unbuilt handle.
 core::RunReport run_hadoop_gis_resident(const HadoopGisResident& resident,
                                         const core::JoinQueryConfig& query,
                                         const core::ExecutionConfig& exec,

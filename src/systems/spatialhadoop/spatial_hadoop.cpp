@@ -1,9 +1,10 @@
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 
 #include <memory>
+#include <ranges>
 
 #include "core/feature_view.hpp"
-#include "core/local_join.hpp"
+#include "core/join_pipeline.hpp"
 #include "index/str_tree.hpp"
 #include "mapreduce/map_reduce.hpp"
 #include "partition/partitioner.hpp"
@@ -17,6 +18,11 @@ namespace sjc::systems {
 namespace {
 
 using core::JoinPair;
+
+/// SpatialHadoop's serial in-partition join (the paper names plane-sweep
+/// and synchronized R-tree traversal as its options; plane-sweep is the
+/// default), unless the query overrides it.
+constexpr auto kPaperAlgorithm = index::LocalJoinAlgorithm::kPlaneSweep;
 
 /// One partition block file: the records shuffled into a partition plus the
 /// STR index packed at the head of the block. The block stores `indices`
@@ -37,11 +43,6 @@ struct IndexedDataset {
   std::string dfs_prefix;
 };
 
-std::uint32_t default_partitions(const core::JoinQueryConfig& query,
-                                 const core::ExecutionConfig& exec) {
-  return core::effective_target_partitions(query, exec.cluster);
-}
-
 /// What the shuffle filter is built from: the already-indexed resident
 /// (right) dataset. The streamed side marks every resident block's expanded
 /// record envelopes into each of its own cells that intersect the resident
@@ -56,19 +57,18 @@ struct FilterSource {
 /// paper's Table 3 breakdown). When `filter_source` is non-null a per-cell
 /// occupancy bitmap is derived from it on the master (a third, cheap
 /// master-side step) and the partition job drops record copies the bitmap
-/// proves can match nothing in their target cell. `count_shuffle` turns on
-/// the shuffle.assigned_records / shuffle.records / shuffle.filtered_*
-/// accounting for the partition job (both datasets' jobs count when the
-/// filter knob is on, so assigned == shuffled + filtered holds globally).
+/// proves can match nothing in their target cell. With the filter knob on,
+/// both datasets' partition jobs count shuffle.assigned_records /
+/// shuffle.records / shuffle.filtered_*, so assigned == shuffled + filtered
+/// holds globally.
 IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset& data,
                              const std::string& tag, const core::JoinQueryConfig& query,
                              const core::ExecutionConfig& exec,
                              const SpatialHadoopConfig& config,
-                             const FilterSource* filter_source = nullptr,
-                             bool count_shuffle = false) {
+                             const FilterSource* filter_source = nullptr) {
   IndexedDataset out;
   out.dfs_prefix = tag + ".part/";
-  const std::uint32_t target_cells = default_partitions(query, exec);
+  const std::uint32_t target_cells = core::effective_target_partitions(query, exec.cluster);
 
   // Raw input sits in HDFS.
   ctx.dfs->put(tag + ".raw", std::any(), data.text_bytes());
@@ -125,37 +125,24 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   mapreduce::charge_master_step(ctx, tag + "/master-partition", master_cpu.seconds(),
                                 /*read=*/sample.size() * 32, /*write=*/master_bytes);
 
-  const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                            ? query.within_distance / 2.0
-                            : 0.0;
+  const double expand = query.envelope_expansion();
 
   // ---- Optional master step: skew-aware hotspot refinement ----------------
   // Probe the per-cell load the partition job below would shuffle (the same
   // expanded-envelope assignment, tallied instead of emitted), split hotspot
   // cells on the master, and rewrite the _master file — so Job 2, the
   // shuffle filter and getSplits all see the refined cell set.
-  if (config.policy.repartition.value_or(false)) {
+  if (config.policy.repartition_on()) {
     CpuStopwatch skew_cpu;
-    const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
-    const auto envs = data.envelopes();
     const auto probe = [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
-      std::vector<std::uint32_t> pids;
-      for (std::size_t i = 0; i < envs.size(); ++i) {
-        s.assign_into(envs[i].expanded_by(expand), pids);
-        const std::uint64_t bytes = 4 + data.record_text_bytes(i);
-        for (const auto pid : pids) {
-          ++loads[pid].records;
-          loads[pid].bytes += bytes;
-        }
-      }
+      plan::tally_cell_loads(
+          s, expand, data.envelopes(),
+          [&data](std::size_t i) { return 4 + data.record_text_bytes(i); }, loads);
       return loads;
     };
-    plan::RefineResult refined = refiner.refine(out.scheme, probe);
-    if (ctx.counters != nullptr) {
-      plan::record_repartition_counters(refined, *ctx.counters);
-    }
-    out.scheme = std::move(refined.scheme);
+    plan::refine_in_place(out.scheme, query.partitioner, config.policy.skew, probe,
+                          ctx.counters);
     const std::uint64_t refined_bytes = out.scheme.size_bytes();
     ctx.dfs->put(tag + "._master", std::any(), refined_bytes);
     mapreduce::charge_master_step(ctx, tag + "/skew-refine", skew_cpu.seconds(),
@@ -197,10 +184,9 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   std::vector<std::vector<std::uint32_t>> idx_splits;
   idx_splits.reserve(ranges.size());
   for (const auto& [begin, end] : ranges) {
-    std::vector<std::uint32_t> split;
-    split.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) split.push_back(static_cast<std::uint32_t>(i));
-    idx_splits.push_back(std::move(split));
+    const auto ids = std::views::iota(static_cast<std::uint32_t>(begin),
+                                      static_cast<std::uint32_t>(end));
+    idx_splits.emplace_back(ids.begin(), ids.end());
   }
 
   out.blocks.assign(out.scheme.cell_count(), nullptr);
@@ -210,7 +196,8 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // stable feature span) and packs its STR index.
   const geom::OccupancyFilter* filt = sfilter.get();
   const auto part_map = [&data, &out, expand, &ctx, filt,
-                         count_shuffle](const std::uint32_t& idx, const auto& emit) {
+                         count_shuffle = config.policy.shuffle_filter_on()](
+                            const std::uint32_t& idx, const auto& emit) {
     // Per-thread scratch keeps the assignment free of per-record
     // allocation; it is cleared and refilled on every call.
     static thread_local std::vector<std::uint32_t> pids_scratch;
@@ -287,27 +274,6 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   return out;
 }
 
-}  // namespace
-
-core::RunReport run_spatial_hadoop(const workload::Dataset& left,
-                                   const workload::Dataset& right,
-                                   const core::JoinQueryConfig& query,
-                                   const core::ExecutionConfig& exec,
-                                   const SpatialHadoopConfig& config);
-
-namespace {
-
-dfs::DfsConfig dfs_config(const core::JoinQueryConfig& query,
-                          const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
-}
-
 /// The distributed-join stage shared by the end-to-end, pre-indexed and
 /// resident entry points: getSplits on the master, then a map-only
 /// local-join job. `shared_cache`, when non-null, is a cross-query
@@ -347,24 +313,10 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // One prepared-geometry cache per join wave (or the caller's resident
   // cache): overlap-duplicated B-side geometries are bound once and shared
   // across partition pairs (and across the concurrently running map tasks —
-  // the cache is thread-safe). A resident cache carries hit/miss history
-  // from earlier queries, so snapshot and report only this run's delta;
-  // for the run-scoped cache the delta equals the totals.
-  geom::PreparedCache local_cache;
-  geom::PreparedCache& prepared_cache =
-      shared_cache != nullptr ? *shared_cache : local_cache;
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
-  core::LocalJoinSpec local_spec;
-  local_spec.algorithm = query.local_algorithm.value_or(config.local_algorithm);
-  local_spec.engine = &geom::GeometryEngine::get(config.engine);
-  local_spec.predicate = query.predicate;
-  local_spec.within_distance = query.within_distance;
-  local_spec.prepared_cache = &prepared_cache;
-  // Surface the refine.* accounting (exact tests vs approximation early
-  // accepts/rejects) in this run's counters; Counters is thread-safe and
-  // run_local_join flushes once per call, not per pair.
-  local_spec.refine_counters = ctx.counters;
+  // the cache is thread-safe).
+  const core::LocalJoinScope local_join(query, kPaperAlgorithm, config.engine,
+                                        shared_cache, ctx.counters);
+  const core::LocalJoinSpec& local_spec = local_join.spec();
 
   // Query-owned scratch pool instead of a `static thread_local` scratch:
   // index trees and candidate buffers stay warm across the partition pairs
@@ -372,14 +324,12 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   // pool threads a serving process keeps around (see core::ScratchPool).
   core::ScratchPool scratch_pool;
   const auto join_map = [&](const JoinSplit& split, std::vector<JoinPair>& out_pairs) {
-    // Reference-point duplicate avoidance: emit only in the canonical
-    // (lowest-id) cell pair containing the reference point. min_assigned
-    // scans the grid cell directory without materializing the id list.
+    // Reference-point duplicate avoidance across both datasets' schemes:
+    // emit only in the canonical cell pair containing the reference point.
     const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
       const geom::Coord p = core::reference_point(le, re);
-      const geom::Envelope pe = geom::Envelope::of_point(p.x, p.y);
-      return ia.scheme.min_assigned(pe) == split.pa &&
-             ib.scheme.min_assigned(pe) == split.pb;
+      return core::owns_reference_point(ia.scheme, split.pa, p) &&
+             core::owns_reference_point(ib.scheme, split.pb, p);
     };
     auto scratch = scratch_pool.acquire();
     core::run_local_join(ia.blocks[split.pa]->view(), ib.blocks[split.pb]->view(),
@@ -396,48 +346,56 @@ std::vector<JoinPair> run_distributed_join(mapreduce::MrContext& ctx,
   if (ctx.counters != nullptr) {
     ctx.counters->add("join.partition_pairs", join_splits.size());
     ctx.counters->add("join.result_pairs", pairs.size());
-    ctx.counters->add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-    ctx.counters->add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
   }
   return pairs;
 }
 
-void finalize_report(core::RunReport& report, std::vector<JoinPair> pairs,
-                     const core::ExecutionConfig& exec) {
-  report.success = true;
-  report.status = Status::Ok();
-  report.result_count = pairs.size();
-  report.result_hash = core::hash_pairs_unordered(pairs);
-  if (exec.collect_pairs) report.pairs = std::move(pairs);
-  report.index_a_seconds = report.metrics.seconds_with_prefix("A/");
-  report.index_b_seconds = report.metrics.seconds_with_prefix("B/");
-  report.join_seconds = report.metrics.seconds_with_prefix("join/");
-  report.total_seconds = report.metrics.total_seconds();
-  core::annotate_recovery(report);
+/// The epilogue of every SpatialHadoop entry point: a successful run
+/// reports the paper's IA/IB/DJ breakdown; a failed one only its total.
+void record_success_breakdown(core::RunReport& report) {
+  if (report.success) core::record_breakdown(report);
 }
 
 }  // namespace
 
 /// Everything the serving layer keeps resident between queries for one
-/// dataset pair: owned copies of both datasets (partition blocks span the
-/// indexed dataset's feature array, so the resident state must
-/// index its own copies) plus the indexed partition directories the cold
-/// driver's own preprocessing built over them, and the ingest-time counters
-/// those jobs emitted — replayed into every resident query's report so the
-/// full counter set matches a cold batch run exactly.
-struct SpatialHadoopResident::Impl {
+/// dataset pair, on top of the shared resident contract: owned copies of
+/// both datasets (partition blocks span the indexed dataset's feature array,
+/// so the resident state must index its own copies) plus the indexed
+/// partition directories the cold driver's own preprocessing built over
+/// them.
+struct SpatialHadoopResident::Impl : core::ResidentBase {
   workload::Dataset left;
   workload::Dataset right;
   IndexedDataset ia;
   IndexedDataset ib;
-  cluster::Counters ingest_counters;
-  double expand = 0.0;
-  core::RunReport build_report;
 };
 
 namespace {
+
+/// A join over inputs indexed beforehand — the pre-indexed path, or a
+/// resident query when `resident` is non-null: getSplits + the local join on
+/// a fresh DFS and context. The block files were persisted when the inputs
+/// were indexed; nothing is re-put, and IA = IB = 0.
+core::RunReport run_join_only(const IndexedDataset& ia, const IndexedDataset& ib,
+                              const core::JoinQueryConfig& query,
+                              const core::ExecutionConfig& exec,
+                              const SpatialHadoopConfig& config,
+                              const SpatialHadoopResident::Impl* resident,
+                              geom::PreparedCache* shared_cache) {
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
+    if (resident != nullptr) {
+      resident->begin_query(query, "run_spatial_hadoop_resident", report);
+    }
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
+    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
+                             &report.counters};
+    ctx.trace = trace;
+    core::record_result(
+        report, run_distributed_join(ctx, ia, ib, query, config, shared_cache), exec);
+  };
+  return core::run_reported(exec, body, record_success_breakdown);
+}
 
 core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                                         const workload::Dataset& right,
@@ -445,68 +403,49 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
                                         const core::ExecutionConfig& exec,
                                         const SpatialHadoopConfig& config,
                                         SpatialHadoopResident::Impl* capture) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  // Indexing counters accumulate separately and are merged into the run's
-  // counters below — totals are unchanged for a cold run, and a resident
-  // build keeps the ingest share to replay into resident query reports.
-  // Declared outside the try so a failure mid-preprocessing (phase timeout,
-  // crash past the budget) still surfaces its counters in the report.
+  // Indexing counts into its own sink, folded into the run's counters by the
+  // epilogue — totals are unchanged for a cold run (failed or not), and a
+  // resident build keeps the ingest share to replay into resident queries.
   cluster::Counters ingest_counters;
-  bool ingest_merged = false;
 
-  try {
-    // Fault-plan validation and DFS setup inside the try: a chaos-generated
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
+    // Fault-plan validation and DFS setup inside the body: a chaos-generated
     // invalid plan reports a structured Status instead of escaping.
-    dfs::SimDfs dfs(dfs_config(query, exec));
+    dfs::SimDfs dfs(core::dfs_config(query, exec));
     const cluster::FaultInjector faults(config.faults);
     mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
                              &ingest_counters, &faults};
-    if (exec.trace) ctx.trace = &collector;
+    ctx.trace = trace;
 
     // ---- Preprocessing: index both inputs (IA, IB) -------------------------
     // With the shuffle filter on, the resident (right) side is indexed first
     // so its partition blocks can seed the occupancy bitmap that prunes the
-    // streamed (left) side's shuffle. Unset means on.
-    const bool filter_on = config.policy.shuffle_filter.value_or(true);
+    // streamed (left) side's shuffle.
     IndexedDataset ia;
     IndexedDataset ib;
-    if (filter_on) {
-      ib = index_dataset(ctx, right, "B", query, exec, config, nullptr,
-                         /*count_shuffle=*/true);
+    if (config.policy.shuffle_filter_on()) {
+      ib = index_dataset(ctx, right, "B", query, exec, config);
       const FilterSource source{&ib, &right};
-      ia = index_dataset(ctx, left, "A", query, exec, config, &source,
-                         /*count_shuffle=*/true);
+      ia = index_dataset(ctx, left, "A", query, exec, config, &source);
     } else {
       ia = index_dataset(ctx, left, "A", query, exec, config);
       ib = index_dataset(ctx, right, "B", query, exec, config);
     }
-    report.counters.merge(ingest_counters);
-    ingest_merged = true;
     ctx.counters = &report.counters;
     if (capture != nullptr) {
       capture->ia = ia;
       capture->ib = ib;
-      capture->ingest_counters = ingest_counters;
-      capture->expand = query.predicate == core::JoinPredicate::kWithinDistance
-                            ? query.within_distance / 2.0
-                            : 0.0;
     }
-
-    finalize_report(report, run_distributed_join(ctx, ia, ib, query, config), exec);
-  } catch (const SjcError& e) {
-    // SpatialHadoop has no intrinsic failure modes; injected faults
-    // (TaskFailed past the retry budget, BlockUnavailable, lifecycle kills)
-    // and invalid fault plans land here as a structured Status.
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-    report.total_seconds = report.metrics.total_seconds();
-    core::annotate_recovery(report);
-  }
-  if (!ingest_merged) report.counters.merge(ingest_counters);
-  if (exec.trace) report.trace = collector.merged();
-  return report;
+    core::record_result(report, run_distributed_join(ctx, ia, ib, query, config), exec);
+  };
+  // SpatialHadoop has no intrinsic failure modes; injected faults (TaskFailed
+  // past the retry budget, BlockUnavailable, lifecycle kills) and invalid
+  // fault plans end as a structured Status.
+  return core::run_reported(exec, body, [&](core::RunReport& report) {
+    report.counters.merge(ingest_counters);
+    if (capture != nullptr) capture->ingest_counters = ingest_counters;
+    record_success_breakdown(report);
+  });
 }
 
 }  // namespace
@@ -520,18 +459,7 @@ core::RunReport run_spatial_hadoop(const workload::Dataset& left,
 }
 
 const core::RunReport& SpatialHadoopResident::build_report() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->build_report;
-}
-
-std::size_t SpatialHadoopResident::left_size() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->left.size();
-}
-
-std::size_t SpatialHadoopResident::right_size() const {
-  require(impl_ != nullptr, "SpatialHadoopResident: not built");
-  return impl_->right.size();
+  return core::require_built(impl_, "SpatialHadoopResident").build_report;
 }
 
 SpatialHadoopResident spatial_hadoop_build_resident(const workload::Dataset& left,
@@ -544,11 +472,10 @@ SpatialHadoopResident spatial_hadoop_build_resident(const workload::Dataset& lef
   // the indexed dataset's feature span, which must outlive the catalog entry.
   impl->left = left;
   impl->right = right;
-  impl->build_report =
-      run_spatial_hadoop_impl(impl->left, impl->right, query, exec, config, impl.get());
-  require(impl->build_report.success,
-          "spatial_hadoop_build_resident: build failed: " +
-              impl->build_report.failure_reason);
+  impl->build(query, "spatial_hadoop_build_resident", [&] {
+    return run_spatial_hadoop_impl(impl->left, impl->right, query, exec, config,
+                                   impl.get());
+  });
   SpatialHadoopResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -559,44 +486,9 @@ core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& residen
                                             const core::ExecutionConfig& exec,
                                             const SpatialHadoopConfig& config,
                                             geom::PreparedCache* shared_cache) {
-  require(resident.impl_ != nullptr,
-          "run_spatial_hadoop_resident: resident state must be built first");
-  const SpatialHadoopResident::Impl& impl = *resident.impl_;
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  try {
-    const double expand = query.predicate == core::JoinPredicate::kWithinDistance
-                              ? query.within_distance / 2.0
-                              : 0.0;
-    require(expand == impl.expand,
-            "run_spatial_hadoop_resident: query envelope expansion differs "
-            "from the resident build (rebuild the catalog entry)");
-    // Fresh DFS + context per query, like the pre-indexed path: the block
-    // files were persisted by the build run; nothing is re-put here.
-    dfs::SimDfs dfs(dfs_config(query, exec));
-    mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                             &report.counters};
-    if (exec.trace) ctx.trace = &collector;
-    // Replay the ingest-time counters (partition.*, shuffle.*) captured at
-    // build time: the resident parity tests compare the full counter set
-    // against a cold batch run.
-    report.counters.merge(impl.ingest_counters);
-    finalize_report(
-        report,
-        run_distributed_join(ctx, impl.ia, impl.ib, query, config, shared_cache),
-        exec);
-    // With re-partitioning skipped the query has no indexing phases.
-    report.index_a_seconds = 0.0;
-    report.index_b_seconds = 0.0;
-  } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-    report.total_seconds = report.metrics.total_seconds();
-    core::annotate_recovery(report);
-  }
-  if (exec.trace) report.trace = collector.merged();
-  return report;
+  const SpatialHadoopResident::Impl& impl =
+      core::require_built(resident.impl_, "run_spatial_hadoop_resident");
+  return run_join_only(impl.ia, impl.ib, query, exec, config, &impl, shared_cache);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +515,7 @@ SpatialHadoopIndex spatial_hadoop_build_index(const workload::Dataset& data,
                                               const SpatialHadoopConfig& config) {
   SpatialHadoopIndex index;
   index.name_ = data.name();
-  dfs::SimDfs dfs(dfs_config(query, exec));
+  dfs::SimDfs dfs(core::dfs_config(query, exec));
   mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &index.metrics_,
                            nullptr};
   auto impl = std::make_shared<SpatialHadoopIndex::Impl>();
@@ -639,20 +531,8 @@ core::RunReport run_spatial_hadoop_indexed(const SpatialHadoopIndex& left,
                                            const SpatialHadoopConfig& config) {
   require(left.impl_ != nullptr && right.impl_ != nullptr,
           "run_spatial_hadoop_indexed: indexes must be built first");
-  core::RunReport report;
-  dfs::SimDfs dfs(dfs_config(query, exec));
-  mapreduce::MrContext ctx{&exec.cluster, exec.data_scale, &dfs, &report.metrics,
-                           &report.counters};
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
-  if (exec.trace) ctx.trace = &collector;
-  finalize_report(
-      report, run_distributed_join(ctx, left.impl_->data, right.impl_->data, query, config),
-      exec);
-  // With re-partitioning skipped the run has no indexing phases.
-  report.index_a_seconds = 0.0;
-  report.index_b_seconds = 0.0;
-  if (exec.trace) report.trace = collector.merged();
-  return report;
+  return run_join_only(left.impl_->data, right.impl_->data, query, exec, config,
+                       /*resident=*/nullptr, /*shared_cache=*/nullptr);
 }
 
 }  // namespace sjc::systems

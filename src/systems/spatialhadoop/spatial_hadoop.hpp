@@ -40,9 +40,6 @@ namespace sjc::systems {
 
 struct SpatialHadoopConfig {
   mapreduce::MrConfig mr;
-  /// Serial in-partition join algorithm; the paper names plane-sweep and
-  /// synchronized R-tree traversal as SpatialHadoop's options.
-  index::LocalJoinAlgorithm local_algorithm = index::LocalJoinAlgorithm::kPlaneSweep;
   /// Geometry engine for refinement (JTS analog by default; override to
   /// kSimple to measure what SpatialHadoop would lose on GEOS).
   geom::EngineKind engine = geom::EngineKind::kPrepared;
@@ -50,17 +47,16 @@ struct SpatialHadoopConfig {
   /// has no intrinsic failure modes, so only injected faults (crashes past
   /// max_attempts, losing every replica of a block) can make it fail.
   cluster::FaultPlan faults;
-  /// Adaptive-execution knobs (see plan/exec_policy.hpp):
+  /// Adaptive-execution knobs (see plan/exec_policy.hpp for defaults):
   ///  - policy.shuffle_filter: index the resident (right) dataset first,
   ///    build a per-cell occupancy bitmap from its partition blocks, and
   ///    drop streamed (left) record copies that provably match nothing in
-  ///    the target cell before they are shuffled (sFilter analog). Unset
-  ///    means on. The pre-indexed join path (run_spatial_hadoop_indexed)
-  ///    never filters — both inputs are partitioned before the join
-  ///    pairing is known.
+  ///    the target cell before they are shuffled (sFilter analog). The
+  ///    pre-indexed join path (run_spatial_hadoop_indexed) never filters —
+  ///    both inputs are partitioned before the join pairing is known.
   ///  - policy.repartition: probe per-cell load after the sample job derives
   ///    a dataset's scheme and split hotspot cells on the master before the
-  ///    partition MR job writes blocks; unset resolves to off.
+  ///    partition MR job writes blocks.
   plan::ExecPolicy policy;
 };
 
@@ -130,8 +126,6 @@ class SpatialHadoopResident {
 
   /// The full RunReport of the cold run that built this state (ingest cost).
   const core::RunReport& build_report() const;
-  std::size_t left_size() const;
-  std::size_t right_size() const;
 
   struct Impl;
 
@@ -162,6 +156,7 @@ SpatialHadoopResident spatial_hadoop_build_resident(
 /// `shared_cache`, when non-null, is a cross-query geom::PreparedCache owned
 /// by the caller (the serving catalog). The query must use the same envelope
 /// expansion as the build; a mismatch yields a kInvalidArgument report.
+/// Throws InvalidArgument on an unbuilt handle.
 core::RunReport run_spatial_hadoop_resident(const SpatialHadoopResident& resident,
                                             const core::JoinQueryConfig& query,
                                             const core::ExecutionConfig& exec,

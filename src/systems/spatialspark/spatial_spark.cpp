@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <ranges>
 
 #include "core/feature_view.hpp"
-#include "core/local_join.hpp"
+#include "core/join_pipeline.hpp"
 #include "index/str_tree.hpp"
 #include "partition/partitioner.hpp"
-#include "plan/cost_model.hpp"
 #include "plan/partition_refiner.hpp"
 #include "rdd/rdd.hpp"
 #include "util/stopwatch.hpp"
@@ -25,44 +24,42 @@ using core::FeatureRef;
 using core::JoinPair;
 using geom::Feature;
 
-std::vector<std::vector<std::string>> chunk_lines(std::vector<std::string> lines,
-                                                  std::size_t n) {
-  std::vector<std::vector<std::string>> out;
-  const std::size_t total = lines.size();
-  const std::size_t per = (total + n - 1) / std::max<std::size_t>(n, 1);
-  std::size_t i = 0;
-  while (i < total) {
-    const std::size_t end = std::min(i + per, total);
-    out.emplace_back(
-        std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(i)),
-        std::make_move_iterator(lines.begin() + static_cast<std::ptrdiff_t>(end)));
-    i = end;
-  }
-  if (out.empty()) out.emplace_back();
-  return out;
+/// The local join SpatialSpark runs: STR-indexed nested loop (natural under
+/// Scala, per the paper), unless the query overrides it.
+constexpr auto kPaperAlgorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
+
+/// Modeled bytes of one record as an executor holds it: the serialized
+/// geometry plus the per-record JVM object overhead.
+std::uint64_t record_bytes(const FeatureRef& r, std::uint64_t rec_overhead) {
+  return static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
 }
 
-/// TSV lines for one input, with the fault plan's malformed rows injected at
-/// deterministic positions (seed x tag). Junk lines are always *extra*
-/// records — real rows are never corrupted — so a quarantining parse yields
-/// exactly the fault-free feature set.
-std::vector<std::string> input_lines(const workload::Dataset& data,
-                                     const std::string& tag,
-                                     const cluster::FaultPlan& plan,
-                                     cluster::Counters& counters) {
-  auto lines = workload::dataset_to_tsv(data, /*include_pad=*/true);
-  if (plan.malformed_rows > 0) {
-    workload::inject_malformed_rows(lines, plan.malformed_rows,
-                                    plan.seed ^ std::hash<std::string>{}(tag));
-    counters.add("input.malformed_rows_injected", plan.malformed_rows);
-  }
-  return lines;
+/// Modeled bytes of a group of records.
+std::uint64_t group_bytes(const std::vector<FeatureRef>& group, std::uint64_t rec_overhead) {
+  std::uint64_t bytes = 0;
+  for (const auto& r : group) bytes += record_bytes(r, rec_overhead);
+  return bytes;
 }
 
 rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
-  return [rec_overhead](const FeatureRef& r) {
-    return static_cast<std::uint64_t>(r.get().geometry.size_bytes()) + rec_overhead;
-  };
+  return [rec_overhead](const FeatureRef& r) { return record_bytes(r, rec_overhead); };
+}
+
+rdd::Sizer<JoinPair> make_pair_sizer(std::uint64_t rec_overhead) {
+  return [rec_overhead](const JoinPair&) { return 16 + rec_overhead; };
+}
+
+/// The envelopes of a run of feature refs, as a lazy range.
+template <class Refs>
+auto ref_envelopes(const Refs& refs) {
+  return refs | std::views::transform([](const FeatureRef& r) -> const geom::Envelope& {
+           return r.get().geometry.envelope();
+         });
+}
+
+/// The envelopes of every record of an RDD, partition after partition.
+auto rdd_envelopes(const rdd::Rdd<FeatureRef>& rdd) {
+  return ref_envelopes(rdd.partitions() | std::views::join);
 }
 
 /// Counts and digests the result RDD distributively (SpatialSpark writes its
@@ -71,62 +68,61 @@ rdd::Sizer<FeatureRef> make_ref_sizer(std::uint64_t rec_overhead) {
 void finish_pairs(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
                   const rdd::Rdd<JoinPair>& pairs_rdd, const std::string& stage,
                   core::RunReport& report) {
+  if (exec.collect_pairs) {
+    core::record_result(report, pairs_rdd.collect(), exec);
+    return;
+  }
   report.success = true;
   report.status = Status::Ok();
-  if (exec.collect_pairs) {
-    std::vector<JoinPair> pairs = pairs_rdd.collect();
-    report.result_count = pairs.size();
-    report.result_hash = core::hash_pairs_unordered(pairs);
-    report.pairs = std::move(pairs);
-  } else {
-    CpuStopwatch agg_cpu;
-    for (const auto& part : pairs_rdd.partitions()) {
-      report.result_count += part.size();
-      report.result_hash += core::hash_pairs_unordered(part);
-    }
-    rt.record_narrow_stage(stage + ".aggregate", {agg_cpu.seconds()});
-    rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
+  CpuStopwatch agg_cpu;
+  for (const auto& part : pairs_rdd.partitions()) {
+    report.result_count += part.size();
+    report.result_hash += core::hash_pairs_unordered(part);
   }
+  rt.record_narrow_stage(stage + ".aggregate", {agg_cpu.seconds()});
+  rt.record_collect("result.aggregate", 16 * pairs_rdd.num_partitions());
 }
 
 /// Stages 3-5 of the partitioned join (assign -> groupByKey x2 ->
 /// join -> local-join), shared verbatim by the cold batch path and the
 /// resident serving path: given the same inputs (feature refs, scheme,
-/// filters) both produce bit-identical pair sets and identical shuffle.* /
+/// bitmaps) both produce bit-identical pair sets and identical shuffle.* /
 /// partition.* / refine.* counters — the resident-parity tests depend on
-/// this being one function, not two copies.
+/// this being one function, not two copies. The occupancy bitmaps, when the
+/// shuffle filter is on, are broadcast first, next to the scheme.
+/// `shared_cache`, when non-null, is a cross-query geom::PreparedCache owned
+/// by the caller (the serving catalog).
 void run_spark_join_tail(
-    rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
+    rdd::SparkRuntime& rt, const core::JoinQueryConfig& query,
+    const core::ExecutionConfig& exec, const SpatialSparkConfig& config,
     rdd::Rdd<FeatureRef> left_rdd, rdd::Rdd<FeatureRef> right_rdd,
     std::size_t left_count, std::size_t right_count,
     const rdd::Broadcast<partition::PartitionScheme>& scheme_bc,
-    const geom::OccupancyFilter* left_filt, const geom::OccupancyFilter* right_filt,
-    bool filter_on, const core::LocalJoinSpec& local_spec,
-    geom::PreparedCache& prepared_cache, std::uint32_t parallelism,
-    std::uint64_t rec_overhead, core::RunReport& report) {
+    std::optional<core::SymmetricFilter> filters, geom::PreparedCache* shared_cache,
+    std::uint32_t parallelism, core::RunReport& report) {
+  const std::uint64_t rec_overhead = config.record_overhead_bytes;
   const rdd::Sizer<std::pair<std::uint32_t, FeatureRef>> pid_ref_sizer =
       [rec_overhead](const std::pair<std::uint32_t, FeatureRef>& kv) {
-        return 4 + static_cast<std::uint64_t>(kv.second.get().geometry.size_bytes()) +
-               rec_overhead;
+        return 4 + record_bytes(kv.second, rec_overhead);
       };
   const rdd::Sizer<std::pair<std::uint32_t, std::vector<FeatureRef>>> grouped_sizer =
       [rec_overhead](const std::pair<std::uint32_t, std::vector<FeatureRef>>& kv) {
-        std::uint64_t bytes = 4 + rec_overhead;
-        for (const auto& r : kv.second) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
-        }
-        return bytes;
+        return 4 + rec_overhead + group_bytes(kv.second, rec_overhead);
       };
-  const rdd::Sizer<JoinPair> pair_sizer = [rec_overhead](const JoinPair&) {
-    return 16 + rec_overhead;
-  };
-  const double expand = local_spec.envelope_expansion();
+  const double expand = query.envelope_expansion();
 
-  // A shared resident cache carries hit/miss history from earlier queries;
-  // snapshot so this run's counters record only its own delta (for the
-  // run-scoped cold-path cache the delta equals the totals).
-  const std::uint64_t cache_hits0 = prepared_cache.hits();
-  const std::uint64_t cache_misses0 = prepared_cache.misses();
+  // Each side's assign stage drops against the *other* side's bitmap.
+  const bool filter_on = filters.has_value();
+  std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_marks_bc;  // filters A
+  std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_marks_bc;   // filters B
+  if (filter_on) {
+    const std::uint64_t right_bytes = filters->right_marks.size_bytes();
+    const std::uint64_t left_bytes = filters->left_marks.size_bytes();
+    right_marks_bc.emplace(rt, std::move(filters->right_marks), right_bytes, "sfilter.B");
+    left_marks_bc.emplace(rt, std::move(filters->left_marks), left_bytes, "sfilter.A");
+  }
+  const geom::OccupancyFilter* left_filt = filter_on ? &right_marks_bc->value() : nullptr;
+  const geom::OccupancyFilter* right_filt = filter_on ? &left_marks_bc->value() : nullptr;
 
   // ---- 3. Assign partition ids to both sides -------------------------------
   // Shared accumulators for the filtered path, per side: the pre-filter
@@ -164,10 +160,7 @@ void run_spark_join_tail(
                                 std::memory_order_relaxed);
         }
         if (dropped > 0) {
-          const std::uint64_t copy_bytes =
-              4 + static_cast<std::uint64_t>(f.get().geometry.size_bytes()) +
-              rec_overhead;
-          stats->filtered_bytes.fetch_add(dropped * copy_bytes,
+          stats->filtered_bytes.fetch_add(dropped * (4 + record_bytes(f, rec_overhead)),
                                           std::memory_order_relaxed);
         }
       }
@@ -221,14 +214,8 @@ void run_spark_join_tail(
   const rdd::Sizer<
       std::tuple<std::uint32_t, std::vector<FeatureRef>, std::vector<FeatureRef>>>
       joined_sizer = [rec_overhead](const auto& t) {
-        std::uint64_t bytes = 4 + rec_overhead;
-        for (const auto& r : std::get<1>(t)) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
-        }
-        for (const auto& r : std::get<2>(t)) {
-          bytes += r.get().geometry.size_bytes() + rec_overhead;
-        }
-        return bytes;
+        return 4 + rec_overhead + group_bytes(std::get<1>(t), rec_overhead) +
+               group_bytes(std::get<2>(t), rec_overhead);
       };
   auto joined = rdd::join_by_key<std::uint32_t, std::vector<FeatureRef>,
                                  std::vector<FeatureRef>>(left_grouped, right_grouped,
@@ -242,52 +229,46 @@ void run_spark_join_tail(
   // the query, so nothing survives onto the pool threads a serving process
   // keeps around (see core::ScratchPool).
   core::ScratchPool scratch_pool;
-  auto pairs_rdd = joined.flat_map<JoinPair>(
-      "local-join",
-      [&](const std::tuple<std::uint32_t, std::vector<FeatureRef>,
-                           std::vector<FeatureRef>>& t,
-          std::vector<JoinPair>& out) {
-        const std::uint32_t pid = std::get<0>(t);
-        const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
-          const geom::Coord p = core::reference_point(le, re);
-          // The lowest-id cell holding the reference point, without
-          // materializing the id list.
-          return scheme_bc.value().min_assigned(
-                     geom::Envelope::of_point(p.x, p.y)) == pid;
-        };
-        auto scratch = scratch_pool.acquire();
-        core::run_local_join(core::FeatureRefSpan(std::get<1>(t)),
-                             core::FeatureRefSpan(std::get<2>(t)), local_spec,
-                             accept, *scratch, out);
-      },
-      pair_sizer);
-  report.counters.add("join.prepared_cache_hits",
-                      prepared_cache.hits() - cache_hits0);
-  report.counters.add("join.prepared_cache_misses",
-                      prepared_cache.misses() - cache_misses0);
+  rdd::Rdd<JoinPair> pairs_rdd;
+  {
+    const core::LocalJoinScope local_join(query, kPaperAlgorithm, config.engine,
+                                          shared_cache, &report.counters);
+    pairs_rdd = joined.flat_map<JoinPair>(
+        "local-join",
+        [&](const std::tuple<std::uint32_t, std::vector<FeatureRef>,
+                             std::vector<FeatureRef>>& t,
+            std::vector<JoinPair>& out) {
+          const std::uint32_t pid = std::get<0>(t);
+          const auto accept = [&](const geom::Envelope& le, const geom::Envelope& re) {
+            return core::owns_reference_point(scheme_bc.value(), pid,
+                                              core::reference_point(le, re));
+          };
+          auto scratch = scratch_pool.acquire();
+          core::run_local_join(core::FeatureRefSpan(std::get<1>(t)),
+                               core::FeatureRefSpan(std::get<2>(t)), local_join.spec(),
+                               accept, *scratch, out);
+        },
+        make_pair_sizer(rec_overhead));
+  }
   finish_pairs(rt, exec, pairs_rdd, "local-join", report);
 }
 
 }  // namespace
 
 /// Everything the serving layer keeps resident between queries for one
-/// dataset pair: the parsed feature store, the per-chunk FeatureRef views
-/// the parse stage produced, the partition scheme and the occupancy
-/// filters. All of it is produced by the cold path's own preprocessing code
-/// (capture-on-build), which is what makes resident queries bit-identical
-/// to cold ones.
-struct SpatialSparkResident::Impl {
+/// dataset pair, on top of the shared resident contract: the parsed feature
+/// store, the per-chunk FeatureRef views the parse stage produced, the
+/// partition scheme and the occupancy filters. All of it is produced by the
+/// cold path's own preprocessing code (capture-on-build), which is what
+/// makes resident queries bit-identical to cold ones.
+struct SpatialSparkResident::Impl : core::ResidentBase {
   std::shared_ptr<std::vector<std::vector<Feature>>> store;
   std::vector<std::vector<FeatureRef>> left_chunks;
   std::vector<std::vector<FeatureRef>> right_chunks;
   std::size_t left_count = 0;
   std::size_t right_count = 0;
   std::optional<partition::PartitionScheme> scheme;
-  std::unique_ptr<geom::OccupancyFilter> right_occ;  // filters the A side
-  std::unique_ptr<geom::OccupancyFilter> left_occ;   // filters the B side
-  bool filter_on = false;
-  double expand = 0.0;
-  core::RunReport build_report;
+  std::optional<core::SymmetricFilter> filters;
 };
 
 namespace {
@@ -321,7 +302,7 @@ SparkInputs read_parse_and_sample(const workload::Dataset& left,
                                   rdd::SparkRuntime& rt, dfs::SimDfs& dfs,
                                   std::uint32_t parallelism,
                                   workload::RowQuarantine& quarantine,
-                                  core::RunReport& report) {
+                                  cluster::Counters& counters) {
   const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(config.record_overhead_bytes);
   const rdd::Sizer<std::string> line_sizer = [](const std::string& l) {
     return static_cast<std::uint64_t>(l.size()) + 48;  // JVM string header
@@ -340,8 +321,8 @@ SparkInputs read_parse_and_sample(const workload::Dataset& left,
     dfs.put(tag + ".raw", std::any(), data.text_bytes());
     auto lines = rdd::Rdd<std::string>::create(
         rt,
-        chunk_lines(input_lines(data, tag, config.spark.faults, report.counters),
-                    parallelism),
+        core::chunk_lines(core::input_lines(data, tag, config.spark.faults, counters),
+                          parallelism),
         line_sizer, tag + ".text");
     rt.record_input_read(tag + ".read", data.text_bytes(),
                          dfs.block_count(tag + ".raw"));
@@ -395,9 +376,11 @@ SparkInputs read_parse_and_sample(const workload::Dataset& left,
 /// side plus its STR index is broadcast and the left side probes it
 /// directly — no shuffle at all, but memory cost scales with |right| x
 /// nodes.
-void run_broadcast_join(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec,
-                        SparkInputs& in, const core::LocalJoinSpec& local_spec,
-                        std::uint64_t rec_overhead, core::RunReport& report) {
+void run_broadcast_join(rdd::SparkRuntime& rt, const core::JoinQueryConfig& query,
+                        const core::ExecutionConfig& exec,
+                        const SpatialSparkConfig& config, SparkInputs& in,
+                        core::RunReport& report) {
+  const std::uint64_t rec_overhead = config.record_overhead_bytes;
   const std::uint64_t scheme_bytes = in.scheme.size_bytes() * 2;  // cells + index
   rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(in.scheme),
                                                        scheme_bytes, "scheme");
@@ -415,34 +398,29 @@ void run_broadcast_join(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec
   RightIndex rindex{std::move(right_all),
                     std::make_unique<index::StrTree>(std::move(entries))};
   rt.record_narrow_stage("driver.build-right-index", {build_cpu.seconds()});
-  std::uint64_t rindex_bytes = rindex.tree->size_bytes();
-  for (const auto& r : rindex.features) {
-    rindex_bytes += r.get().geometry.size_bytes() + rec_overhead;
-  }
+  const std::uint64_t rindex_bytes =
+      rindex.tree->size_bytes() + group_bytes(rindex.features, rec_overhead);
   rdd::Broadcast<RightIndex> right_bc(rt, std::move(rindex), rindex_bytes,
                                       "right-index");
-
-  const rdd::Sizer<JoinPair> pair_sizer = [rec_overhead](const JoinPair&) {
-    return 16 + rec_overhead;
-  };
+  // Only the probe side's envelope is widened, so by the full distance.
+  const geom::GeometryEngine& engine = geom::GeometryEngine::get(config.engine);
   auto pairs_rdd = in.left.flat_map<JoinPair>(
       "broadcast-join",
       [&](const FeatureRef& r, std::vector<JoinPair>& out) {
         const Feature& f = r.get();
         const RightIndex& ri = right_bc.value();
         std::vector<std::uint32_t> candidates = ri.tree->query_ids(
-            f.geometry.envelope().expanded_by(local_spec.within_distance));
+            f.geometry.envelope().expanded_by(query.within_distance));
         std::sort(candidates.begin(), candidates.end());
         for (const auto rid : candidates) {
           const Feature& rf = ri.features[rid].get();
-          if (core::evaluate_predicate(*local_spec.engine, local_spec.predicate,
-                                       local_spec.within_distance, f.geometry,
-                                       rf.geometry)) {
+          if (core::evaluate_predicate(engine, query.predicate, query.within_distance,
+                                       f.geometry, rf.geometry)) {
             out.push_back({f.id, rf.id});
           }
         }
       },
-      pair_sizer);
+      make_pair_sizer(rec_overhead));
   finish_pairs(rt, exec, pairs_rdd, "broadcast-join", report);
 }
 
@@ -450,19 +428,21 @@ void run_broadcast_join(rdd::SparkRuntime& rt, const core::ExecutionConfig& exec
 /// driver, scheme broadcast, then the shared assign -> groupByKey x2 ->
 /// join -> local-join tail.
 ///
-/// When `capture` is non-null the preprocessing products (feature store,
-/// parsed chunks, scheme, filters) are additionally copied into it for
-/// resident reuse; the run itself is unaffected.
+/// The runtime counts into `ingest` on entry. Stages a resident query skips
+/// (skew-refine, filter.build) keep counting there; the broadcasts and the
+/// tail, which a resident query re-executes, count into the report. When
+/// `capture` is non-null the preprocessing products (feature store, parsed
+/// chunks, scheme, filters) are additionally copied into it for resident
+/// reuse; the run itself is unaffected.
 void run_partitioned_join(const workload::Dataset& left, const workload::Dataset& right,
                           const core::JoinQueryConfig& query,
                           const core::ExecutionConfig& exec,
                           const SpatialSparkConfig& config, rdd::SparkRuntime& rt,
-                          SparkInputs& in, const core::LocalJoinSpec& local_spec,
-                          geom::PreparedCache& prepared_cache,
-                          std::uint32_t parallelism, core::RunReport& report,
+                          SparkInputs& in, std::uint32_t parallelism,
+                          cluster::Counters& ingest, core::RunReport& report,
                           SpatialSparkResident::Impl* capture) {
   const std::uint64_t rec_overhead = config.record_overhead_bytes;
-  const double expand = local_spec.envelope_expansion();
+  const double expand = query.envelope_expansion();
   partition::PartitionScheme scheme = std::move(in.scheme);
 
   // ---- 2a. Optional skew-aware hotspot refinement (driver-side) ------------
@@ -473,35 +453,24 @@ void run_partitioned_join(const workload::Dataset& left, const workload::Dataset
   // refined cell set. Runs before the occupancy filter on purpose: the
   // probe must see unfiltered load, and the bitmaps must be built against
   // the final cells.
-  if (config.policy.repartition.value_or(false)) {
+  if (config.policy.repartition_on()) {
     CpuStopwatch skew_cpu;
-    const plan::PartitionRefiner refiner(query.partitioner, config.policy.skew);
     const auto probe = [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
-      std::vector<std::uint32_t> pids;
-      const auto tally = [&](const rdd::Rdd<FeatureRef>& side) {
-        for (const auto& part : side.partitions()) {
-          for (const auto& r : part) {
-            const Feature& f = r.get();
-            s.assign_into(f.geometry.envelope().expanded_by(expand), pids);
-            const std::uint64_t bytes =
-                4 + static_cast<std::uint64_t>(f.geometry.size_bytes()) +
-                rec_overhead;
-            for (const auto pid : pids) {
-              ++loads[pid].records;
-              loads[pid].bytes += bytes;
-            }
-          }
+      for (const rdd::Rdd<FeatureRef>* side : {&in.left, &in.right}) {
+        for (const auto& part : side->partitions()) {
+          plan::tally_cell_loads(
+              s, expand, ref_envelopes(part),
+              [&part, rec_overhead](std::size_t i) {
+                return 4 + record_bytes(part[i], rec_overhead);
+              },
+              loads);
         }
-      };
-      tally(in.left);
-      tally(in.right);
+      }
       return loads;
     };
-    plan::RefineResult refined = refiner.refine(scheme, probe);
+    plan::refine_in_place(scheme, query.partitioner, config.policy.skew, probe, &ingest);
     rt.record_narrow_stage("driver.skew-refine", {skew_cpu.seconds()});
-    plan::record_repartition_counters(refined, report.counters);
-    scheme = std::move(refined.scheme);
   }
 
   if (capture != nullptr) {
@@ -515,6 +484,8 @@ void run_partitioned_join(const workload::Dataset& left, const workload::Dataset
     capture->scheme.emplace(scheme);
   }
 
+  // From the scheme broadcast on, a resident query does the same work.
+  rt.set_counters(&report.counters);
   const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;  // cells + index
   rdd::Broadcast<partition::PartitionScheme> scheme_bc(rt, std::move(scheme),
                                                        scheme_bytes, "scheme");
@@ -522,81 +493,24 @@ void run_partitioned_join(const workload::Dataset& left, const workload::Dataset
   // ---- 2b. Optional map-side shuffle filter (LocationSpark's sFilter) ------
   // Two narrow passes replay the exact (unfiltered) assignment each side's
   // own assign stage would perform and mark each expanded envelope into its
-  // cells' occupancy bitmaps. Because the scheme is *joint*, filtering is
-  // symmetric and stays sound both ways: a pair needs both records in the
-  // same cell with intersecting expanded envelopes, so each side's copy in a
-  // cell provably without partners can be dropped. Both bitmaps are
-  // broadcast next to the scheme; the assign stages consult them below.
-  // Unset means on; the broadcast join shuffles nothing to filter.
-  const bool filter_on = config.policy.shuffle_filter.value_or(true);
-  std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;  // filters A
-  std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;   // filters B
-  if (filter_on) {
+  // cells' occupancy bitmaps; the tail broadcasts both next to the scheme
+  // and its assign stages consult them. The broadcast join shuffles
+  // nothing to filter.
+  std::optional<core::SymmetricFilter> filters;
+  if (config.policy.shuffle_filter_on()) {
     CpuStopwatch filter_cpu;
-    const auto build_occupancy = [&](const rdd::Rdd<FeatureRef>& side) {
-      geom::OccupancyFilter filter(scheme_bc.value().cells());
-      std::vector<std::uint32_t> mark_pids;
-      for (const auto& part : side.partitions()) {
-        for (const auto& r : part) {
-          const geom::Envelope env =
-              r.get().geometry.envelope().expanded_by(expand);
-          scheme_bc.value().assign_into(env, mark_pids);
-          for (const auto pid : mark_pids) filter.mark(pid, env);
-        }
-      }
-      return filter;
-    };
-    geom::OccupancyFilter right_occ = build_occupancy(in.right);
-    geom::OccupancyFilter left_occ = build_occupancy(in.left);
+    filters = core::build_symmetric_filter(scheme_bc.value(), expand,
+                                           rdd_envelopes(in.left), rdd_envelopes(in.right));
+    // Building the bitmaps is ingest work: a resident query reuses them.
+    rt.set_counters(&ingest);
     rt.record_narrow_stage("filter.build", {filter_cpu.seconds()});
-    if (capture != nullptr) {
-      capture->right_occ = std::make_unique<geom::OccupancyFilter>(right_occ);
-      capture->left_occ = std::make_unique<geom::OccupancyFilter>(left_occ);
-    }
-    const std::uint64_t right_bytes = right_occ.size_bytes();
-    const std::uint64_t left_bytes = left_occ.size_bytes();
-    right_occ_bc.emplace(rt, std::move(right_occ), right_bytes, "sfilter.B");
-    left_occ_bc.emplace(rt, std::move(left_occ), left_bytes, "sfilter.A");
+    rt.set_counters(&report.counters);
+    if (capture != nullptr) capture->filters = filters;
   }
-  if (capture != nullptr) {
-    capture->filter_on = filter_on;
-    capture->expand = expand;
-  }
-  const geom::OccupancyFilter* left_filt =
-      right_occ_bc.has_value() ? &right_occ_bc->value() : nullptr;
-  const geom::OccupancyFilter* right_filt =
-      left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
 
-  run_spark_join_tail(rt, exec, std::move(in.left), std::move(in.right), left.size(),
-                      right.size(), scheme_bc, left_filt, right_filt, filter_on,
-                      local_spec, prepared_cache, parallelism, rec_overhead, report);
-}
-
-dfs::DfsConfig spark_dfs_config(const core::JoinQueryConfig& query,
-                                const core::ExecutionConfig& exec) {
-  return dfs::DfsConfig{
-      .block_size = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(64.0 * 1024 * 1024 / exec.data_scale)),
-      .replication = 3,
-      .datanode_count = exec.cluster.node_count,
-      .seed = query.seed,
-  };
-}
-
-core::LocalJoinSpec make_local_spec(const core::JoinQueryConfig& query,
-                                    const SpatialSparkConfig& config,
-                                    geom::PreparedCache* cache,
-                                    cluster::Counters* counters) {
-  return core::LocalJoinSpec{
-      .algorithm = query.local_algorithm.value_or(config.local_algorithm),
-      .engine = &geom::GeometryEngine::get(config.engine),
-      .predicate = query.predicate,
-      .within_distance = query.within_distance,
-      .prepared_cache = cache,
-      // refine.* accounting; Counters is thread-safe and run_local_join
-      // flushes once per call.
-      .refine_counters = counters,
-  };
+  run_spark_join_tail(rt, query, exec, config, std::move(in.left), std::move(in.right),
+                      left.size(), right.size(), scheme_bc, std::move(filters),
+                      /*shared_cache=*/nullptr, parallelism, report);
 }
 
 core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
@@ -605,28 +519,25 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
                                        const core::ExecutionConfig& exec,
                                        const SpatialSparkConfig& config,
                                        SpatialSparkResident::Impl* capture) {
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
   workload::RowQuarantine quarantine;
-  // Emplaced inside the try: constructing the runtime validates the fault
+  // Counters of the stages a resident query skips (read, parse, sample,
+  // driver.partition, skew-refine, filter.build, plus the injected and
+  // quarantined rows), folded into the run's counters by the epilogue —
+  // totals are unchanged for a cold run, and a resident build keeps them for
+  // replay.
+  cluster::Counters ingest_counters;
+  // Emplaced inside the body: constructing the runtime validates the fault
   // plan, and an invalid plan must surface as a structured Status, not an
-  // escaped exception. The optionals outlive the catch so the epilogue can
+  // escaped exception. The optionals outlive the body so the epilogue can
   // still read peak memory from a partially-run job.
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
 
-  // One prepared-geometry cache per run, shared by all local-join tasks:
-  // overlap-duplicated right-side geometries are bound once, not once per
-  // partition.
-  geom::PreparedCache prepared_cache;
-  const core::LocalJoinSpec local_spec =
-      make_local_spec(query, config, &prepared_cache, &report.counters);
-
-  try {
-    dfs.emplace(spark_dfs_config(query, exec));
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
+    dfs.emplace(core::dfs_config(query, exec));
     rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
-    rt->set_counters(&report.counters);
-    if (exec.trace) rt->set_trace(&collector);
+    rt->set_counters(&ingest_counters);
+    rt->set_trace(trace);
 
     const std::uint32_t parallelism = rt->default_parallelism() * 2;
 
@@ -634,34 +545,30 @@ core::RunReport run_spatial_spark_impl(const workload::Dataset& left,
             "spatial_spark_build_resident: resident mode requires the "
             "partitioned join (not broadcast)");
     SparkInputs inputs = read_parse_and_sample(left, right, query, exec, config, *rt,
-                                               *dfs, parallelism, quarantine, report);
+                                               *dfs, parallelism, quarantine,
+                                               ingest_counters);
     if (config.broadcast_join) {
-      run_broadcast_join(*rt, exec, inputs, local_spec, config.record_overhead_bytes,
-                         report);
+      // The broadcast plan has no resident form: its stages count directly.
+      rt->set_counters(&report.counters);
+      run_broadcast_join(*rt, query, exec, config, inputs, report);
     } else {
-      run_partitioned_join(left, right, query, exec, config, *rt, inputs, local_spec,
-                           prepared_cache, parallelism, report, capture);
+      run_partitioned_join(left, right, query, exec, config, *rt, inputs, parallelism,
+                           ingest_counters, report, capture);
     }
-  } catch (const SjcError& e) {
-    // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected
-    // faults: TaskFailed past the retry budget, DeadlineExceeded /
-    // RetryBudgetExhausted from the lifecycle limits, BlockUnavailable when
-    // a lost executor's datanode took the last replica of an input block,
-    // and invalid fault plans rejected at runtime construction. The
-    // structured Status lets harnesses branch without string-matching.
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-  }
-  quarantine.flush_counters(report.counters);
-
+  };
+  // SimOutOfMemory (the paper's EC2-8/EC2-6 failure) plus injected faults:
+  // TaskFailed past the retry budget, DeadlineExceeded / RetryBudgetExhausted
+  // from the lifecycle limits, BlockUnavailable when a lost executor's
+  // datanode took the last replica of an input block, and invalid fault
+  // plans rejected at runtime construction, all end as a structured Status.
   // The paper reports only end-to-end times for SpatialSpark (stages cannot
   // be attributed cleanly under asynchronous execution); IA/IB/DJ stay NaN.
-  if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
-  return report;
+  return core::run_reported(exec, body, [&](core::RunReport& report) {
+    quarantine.flush_counters(ingest_counters);
+    report.counters.merge(ingest_counters);
+    if (capture != nullptr) capture->ingest_counters = ingest_counters;
+    if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
+  });
 }
 
 }  // namespace
@@ -677,18 +584,8 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
   // Cost-based physical-plan choice: predict both plans from the dataset
   // sizes and the cluster spec, run the cheaper feasible one, and leave the
   // prediction next to the realized wall clock in the plan.* counters.
-  const plan::PlanDecision decision = plan::choose_plan(plan::PlanInputs{
-      .left_records = left.size(),
-      .right_records = right.size(),
-      .left_bytes = left.text_bytes(),
-      .right_bytes = right.text_bytes(),
-      .record_overhead_bytes = config.record_overhead_bytes,
-      .replication_factor = std::nullopt,
-      .filter_selectivity = std::nullopt,
-      .cluster = exec.cluster,
-      .data_scale = exec.data_scale,
-      .resident = false,
-  });
+  const plan::PlanDecision decision =
+      choose_spatial_spark_plan(left, right, exec, config, /*resident=*/false);
   SpatialSparkConfig chosen = config;
   chosen.broadcast_join = decision.chosen == plan::PlanKind::kBroadcastJoin;
   core::RunReport report =
@@ -698,19 +595,27 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
   return report;
 }
 
+plan::PlanDecision choose_spatial_spark_plan(const workload::Dataset& left,
+                                             const workload::Dataset& right,
+                                             const core::ExecutionConfig& exec,
+                                             const SpatialSparkConfig& config,
+                                             bool resident) {
+  return plan::choose_plan(plan::PlanInputs{
+      .left_records = left.size(),
+      .right_records = right.size(),
+      .left_bytes = left.text_bytes(),
+      .right_bytes = right.text_bytes(),
+      .record_overhead_bytes = config.record_overhead_bytes,
+      .replication_factor = std::nullopt,
+      .filter_selectivity = std::nullopt,
+      .cluster = exec.cluster,
+      .data_scale = exec.data_scale,
+      .resident = resident,
+  });
+}
+
 const core::RunReport& SpatialSparkResident::build_report() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->build_report;
-}
-
-std::size_t SpatialSparkResident::left_size() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->left_count;
-}
-
-std::size_t SpatialSparkResident::right_size() const {
-  require(impl_ != nullptr, "SpatialSparkResident: not built");
-  return impl_->right_count;
+  return core::require_built(impl_, "SpatialSparkResident").build_report;
 }
 
 SpatialSparkResident spatial_spark_build_resident(const workload::Dataset& left,
@@ -719,11 +624,9 @@ SpatialSparkResident spatial_spark_build_resident(const workload::Dataset& left,
                                                   const core::ExecutionConfig& exec,
                                                   const SpatialSparkConfig& config) {
   auto impl = std::make_shared<SpatialSparkResident::Impl>();
-  impl->build_report =
-      run_spatial_spark_impl(left, right, query, exec, config, impl.get());
-  require(impl->build_report.success,
-          "spatial_spark_build_resident: build failed: " +
-              impl->build_report.failure_reason);
+  impl->build(query, "spatial_spark_build_resident", [&] {
+    return run_spatial_spark_impl(left, right, query, exec, config, impl.get());
+  });
   SpatialSparkResident resident;
   resident.impl_ = std::move(impl);
   return resident;
@@ -734,38 +637,24 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
                                            const core::ExecutionConfig& exec,
                                            const SpatialSparkConfig& config,
                                            geom::PreparedCache* shared_cache) {
-  require(resident.impl_ != nullptr,
-          "run_spatial_spark_resident: resident state must be built first");
-  const SpatialSparkResident::Impl& impl = *resident.impl_;
-  core::RunReport report;
-  trace::TraceCollector collector(exec.cluster.node_count, exec.cluster.node.cores);
+  const SpatialSparkResident::Impl& impl =
+      core::require_built(resident.impl_, "run_spatial_spark_resident");
   std::optional<dfs::SimDfs> dfs;
   std::optional<rdd::SparkRuntime> rt;
-
-  // Per-query fallback cache when the caller shares none; the serving layer
-  // passes the catalog entry's cache so bind() results survive queries.
-  geom::PreparedCache fallback_cache;
-  geom::PreparedCache& cache = shared_cache != nullptr ? *shared_cache : fallback_cache;
-  const core::LocalJoinSpec local_spec =
-      make_local_spec(query, config, &cache, &report.counters);
-
-  try {
-    require(local_spec.envelope_expansion() == impl.expand,
-            "run_spatial_spark_resident: query envelope expansion differs "
-            "from the resident build (rebuild the catalog entry)");
-    dfs.emplace(spark_dfs_config(query, exec));
+  const auto body = [&](core::RunReport& report, trace::TraceCollector* trace) {
+    impl.begin_query(query, "run_spatial_spark_resident", report);
+    dfs.emplace(core::dfs_config(query, exec));
     rt.emplace(exec.cluster, exec.data_scale, &*dfs, &report.metrics, config.spark);
     rt->set_counters(&report.counters);
-    if (exec.trace) rt->set_trace(&collector);
+    rt->set_trace(trace);
     const std::uint32_t parallelism = rt->default_parallelism() * 2;
-    const std::uint64_t rec_overhead = config.record_overhead_bytes;
 
     // Re-materialize the resident inputs as cached RDDs: the per-chunk
     // FeatureRef views captured at build time, charged at full modeled bytes
     // (the resident working set lives in executor memory). No read, no
     // parse, no sample, no driver.partition, no filter.build — that is the
     // serving win; everything downstream is the cold path's own code.
-    const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(rec_overhead);
+    const rdd::Sizer<FeatureRef> ref_sizer = make_ref_sizer(config.record_overhead_bytes);
     auto left_rdd = rdd::Rdd<FeatureRef>::create(*rt, impl.left_chunks, ref_sizer,
                                                  "A.resident");
     auto right_rdd = rdd::Rdd<FeatureRef>::create(*rt, impl.right_chunks, ref_sizer,
@@ -777,36 +666,13 @@ core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
     const std::uint64_t scheme_bytes = scheme.size_bytes() * 2;
     rdd::Broadcast<partition::PartitionScheme> scheme_bc(*rt, std::move(scheme),
                                                          scheme_bytes, "scheme");
-    std::optional<rdd::Broadcast<geom::OccupancyFilter>> right_occ_bc;
-    std::optional<rdd::Broadcast<geom::OccupancyFilter>> left_occ_bc;
-    if (impl.filter_on) {
-      geom::OccupancyFilter right_occ = *impl.right_occ;
-      geom::OccupancyFilter left_occ = *impl.left_occ;
-      const std::uint64_t right_bytes = right_occ.size_bytes();
-      const std::uint64_t left_bytes = left_occ.size_bytes();
-      right_occ_bc.emplace(*rt, std::move(right_occ), right_bytes, "sfilter.B");
-      left_occ_bc.emplace(*rt, std::move(left_occ), left_bytes, "sfilter.A");
-    }
-    const geom::OccupancyFilter* left_filt =
-        right_occ_bc.has_value() ? &right_occ_bc->value() : nullptr;
-    const geom::OccupancyFilter* right_filt =
-        left_occ_bc.has_value() ? &left_occ_bc->value() : nullptr;
-
-    run_spark_join_tail(*rt, exec, std::move(left_rdd), std::move(right_rdd),
-                        impl.left_count, impl.right_count, scheme_bc, left_filt,
-                        right_filt, impl.filter_on, local_spec, cache, parallelism,
-                        rec_overhead, report);
-  } catch (const SjcError& e) {
-    report.success = false;
-    report.failure_reason = e.what();
-    report.status = status_from_exception(e);
-  }
-
-  if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
-  report.total_seconds = report.metrics.total_seconds();
-  if (exec.trace) report.trace = collector.merged();
-  core::annotate_recovery(report);
-  return report;
+    run_spark_join_tail(*rt, query, exec, config, std::move(left_rdd),
+                        std::move(right_rdd), impl.left_count, impl.right_count,
+                        scheme_bc, impl.filters, shared_cache, parallelism, report);
+  };
+  return core::run_reported(exec, body, [&](core::RunReport& report) {
+    if (rt) report.peak_memory_bytes = rt->memory().peak_paper_bytes();
+  });
 }
 
 }  // namespace sjc::systems

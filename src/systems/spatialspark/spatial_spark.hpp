@@ -26,6 +26,7 @@
 #pragma once
 
 #include "core/spatial_join.hpp"
+#include "plan/cost_model.hpp"
 #include "plan/exec_policy.hpp"
 #include "rdd/spark_runtime.hpp"
 
@@ -37,7 +38,6 @@ namespace sjc::systems {
 
 struct SpatialSparkConfig {
   rdd::SparkConfig spark;
-  index::LocalJoinAlgorithm local_algorithm = index::LocalJoinAlgorithm::kIndexedNestedLoop;
   /// Per-record JVM object overhead added to every element's accounted
   /// size (boxed Scala objects, collection nodes). Calibrated together with
   /// SparkConfig::memory_reserve_per_node so the OOM matrix of Table 2
@@ -47,14 +47,13 @@ struct SpatialSparkConfig {
   bool broadcast_join = false;
   /// Geometry engine for refinement (JTS analog by default).
   geom::EngineKind engine = geom::EngineKind::kPrepared;
-  /// Adaptive-execution knobs (see plan/exec_policy.hpp):
+  /// Adaptive-execution knobs (see plan/exec_policy.hpp for defaults):
   ///  - policy.shuffle_filter: map-side occupancy-bitmap filter (sFilter
-  ///    analog) on both sides' assign stages of the partition-based join;
-  ///    unset means on. The broadcast join shuffles nothing and never
-  ///    filters.
+  ///    analog) on both sides' assign stages of the partition-based join.
+  ///    The broadcast join shuffles nothing and never filters.
   ///  - policy.repartition: probe per-cell shuffle load right after the
   ///    driver derives the scheme and quad-split hotspot cells before the
-  ///    scheme is broadcast; unset resolves to off.
+  ///    scheme is broadcast.
   ///  - policy.cost_based_plan: let plan::choose_plan() pick broadcast vs
   ///    partitioned per run instead of the static broadcast_join flag.
   plan::ExecPolicy policy;
@@ -66,20 +65,29 @@ core::RunReport run_spatial_spark(const workload::Dataset& left,
                                   const core::ExecutionConfig& exec,
                                   const SpatialSparkConfig& config = {});
 
+/// The cost model's broadcast-vs-partitioned choice for one join of `left`
+/// x `right` (policy.cost_based_plan). `resident` prices the resident
+/// partitioned tail, which skips the read, the prologue and the shuffle.
+plan::PlanDecision choose_spatial_spark_plan(const workload::Dataset& left,
+                                             const workload::Dataset& right,
+                                             const core::ExecutionConfig& exec,
+                                             const SpatialSparkConfig& config,
+                                             bool resident);
+
 /// Resident (serving-mode) state for the partition-based join:
 /// the parsed feature store, the per-chunk FeatureRef views, the partition
 /// scheme and the occupancy filters, all captured from one cold build run
 /// (capture-on-build). Queries answered from this state re-execute only the
-/// assign -> groupByKey -> join -> local-join tail and are bit-identical to
-/// the cold batch path. Cheap to copy (shared immutable state).
+/// assign -> groupByKey -> join -> local-join tail; the counters of the
+/// skipped stages are replayed into each report, so pairs and the full
+/// counter set match the cold batch path. Cheap to copy (shared immutable
+/// state).
 class SpatialSparkResident {
  public:
   SpatialSparkResident() = default;
 
   /// The full RunReport of the cold run that built this state (ingest cost).
   const core::RunReport& build_report() const;
-  std::size_t left_size() const;
-  std::size_t right_size() const;
 
   struct Impl;
 
@@ -108,10 +116,11 @@ SpatialSparkResident spatial_spark_build_resident(
 /// query, but the read/parse/sample/partition/filter-build stages are
 /// skipped — their products come from the catalog. `shared_cache`, when
 /// non-null, is a cross-query geom::PreparedCache owned by the caller (the
-/// serving catalog); pair sets and refine.*/shuffle.* counters are
-/// bit-identical to the cold path either way. The query must use the same
+/// serving catalog); pair sets and counters (but for the cache's own
+/// hit/miss split) are bit-identical to the cold path either way. The query must use the same
 /// envelope expansion as the build (same predicate family); a mismatch
-/// yields a kInvalidArgument report.
+/// yields a kInvalidArgument report. Throws InvalidArgument on an unbuilt
+/// handle.
 core::RunReport run_spatial_spark_resident(const SpatialSparkResident& resident,
                                            const core::JoinQueryConfig& query,
                                            const core::ExecutionConfig& exec,
