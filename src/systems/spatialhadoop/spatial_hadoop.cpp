@@ -1,5 +1,6 @@
 #include "systems/spatialhadoop/spatial_hadoop.hpp"
 
+#include <atomic>
 #include <memory>
 #include <ranges>
 
@@ -41,6 +42,50 @@ struct IndexedDataset {
                                     geom::Envelope(0, 0, 1, 1)};
   std::vector<std::shared_ptr<PartBlock>> blocks;  // by partition id
   std::string dfs_prefix;
+};
+
+/// The partition job's per-record counts, summed on the pool threads
+/// without touching the shared Counters (relaxed atomics: sums do not
+/// depend on the interleaving) and flushed into them once per job.
+struct PartitionTally {
+  std::atomic<std::uint64_t> records{0};
+  std::atomic<std::uint64_t> kept{0};
+  std::atomic<std::uint64_t> placed_records{0};  // records with >= 1 kept copy
+  std::atomic<std::uint64_t> dropped{0};
+  std::atomic<std::uint64_t> dropped_bytes{0};
+
+  /// One input record: `kept_copies` emitted, `dropped_copies` filtered
+  /// out, each worth `copy_bytes` of shuffle.
+  void record(std::size_t kept_copies, std::uint32_t dropped_copies,
+              std::uint64_t copy_bytes) {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    records.fetch_add(1, relaxed);
+    if (kept_copies > 0) {
+      kept.fetch_add(kept_copies, relaxed);
+      placed_records.fetch_add(1, relaxed);
+    }
+    if (dropped_copies > 0) {
+      dropped.fetch_add(dropped_copies, relaxed);
+      dropped_bytes.fetch_add(dropped_copies * copy_bytes, relaxed);
+    }
+  }
+
+  /// Creates exactly the keys per-record adds would: none for an empty
+  /// input, shuffle.* only with `count_shuffle`, shuffle.filtered_* only
+  /// if some copy was dropped.
+  void flush(cluster::Counters& sink, bool count_shuffle) const {
+    if (records == 0) return;
+    sink.add("partition.assignments", kept);
+    sink.add("partition.records", records);
+    sink.add("partition.duplicated_records", kept - placed_records);
+    if (!count_shuffle) return;
+    sink.add("shuffle.assigned_records", kept + dropped);
+    sink.add("shuffle.records", kept);
+    if (dropped > 0) {
+      sink.add("shuffle.filtered_records", dropped);
+      sink.add("shuffle.filtered_bytes", dropped_bytes);
+    }
+  }
 };
 
 /// What the shuffle filter is built from: the already-indexed resident
@@ -195,9 +240,9 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // the reduce materializes one block per cell (indices into the dataset's
   // stable feature span) and packs its STR index.
   const geom::OccupancyFilter* filt = sfilter.get();
-  const auto part_map = [&data, &out, expand, &ctx, filt,
-                         count_shuffle = config.policy.shuffle_filter_on()](
-                            const std::uint32_t& idx, const auto& emit) {
+  PartitionTally tally;
+  const auto part_map = [&data, &out, expand, filt, &tally](const std::uint32_t& idx,
+                                                           const auto& emit) {
     // Per-thread scratch keeps the assignment free of per-record
     // allocation; it is cleared and refilled on every call.
     static thread_local std::vector<std::uint32_t> pids_scratch;
@@ -212,21 +257,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
     }
     const auto& pids = pids_scratch;
     for (const auto pid : pids) emit(pid, idx);
-    if (ctx.counters != nullptr) {
-      ctx.counters->add("partition.assignments", pids.size());
-      ctx.counters->add("partition.records", 1);
-      ctx.counters->add("partition.duplicated_records",
-                        pids.empty() ? 0 : pids.size() - 1);
-      if (count_shuffle) {
-        ctx.counters->add("shuffle.assigned_records", pids.size() + dropped);
-        ctx.counters->add("shuffle.records", pids.size());
-        if (dropped > 0) {
-          ctx.counters->add("shuffle.filtered_records", dropped);
-          ctx.counters->add("shuffle.filtered_bytes",
-                            dropped * (4 + data.record_text_bytes(idx)));
-        }
-      }
-    }
+    tally.record(pids.size(), dropped, dropped > 0 ? 4 + data.record_text_bytes(idx) : 0);
   };
   const auto part_reduce = [&data, &out](const std::uint32_t& pid,
                                          std::vector<std::uint32_t>& idxs,
@@ -262,7 +293,20 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
       tag + "/partition", part_map, part_reduce, part_input_bytes, part_pair_bytes,
       part_output_bytes);
   part_spec.config = config.mr;
-  mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
+  // The map's counts land also when the job fails after its map ran (a
+  // task exhausting its attempts), so a failed run still reports them.
+  const auto flush_tally = [&] {
+    if (ctx.counters != nullptr) {
+      tally.flush(*ctx.counters, config.policy.shuffle_filter_on());
+    }
+  };
+  try {
+    mapreduce::run_map_reduce(ctx, part_spec, idx_splits);
+  } catch (...) {
+    flush_tally();
+    throw;
+  }
+  flush_tally();
 
   // Record the block files in the DFS catalog.
   for (std::uint32_t pid = 0; pid < out.blocks.size(); ++pid) {

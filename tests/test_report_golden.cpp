@@ -2,7 +2,9 @@
 // 18 default-config digests do not reach: shuffle filter off, eager skew
 // repartitioning, a within-distance query, SpatialSpark's broadcast and
 // cost-based plans, SpatialHadoop's pre-indexed join, malformed-row
-// quarantine, failed runs, and one resident query per system.
+// quarantine, failed runs (a SpatialHadoop task failure in the local join
+// and one in a partition map, whose counters must survive the throw), and
+// one resident query per system.
 //
 // Every case runs under VirtualTimeGuard, so its RunReport is a pure
 // function of the cost model; the digest covers the same fields as
@@ -151,6 +153,9 @@ struct GoldenCase {
   const char* name;
   std::uint64_t digest;
   std::function<RunReport(const Inputs&)> run;
+  /// For an injected task failure: the phase whose task exhausted its
+  /// attempts, which the status message names first.
+  const char* failing_phase = nullptr;
 };
 
 std::vector<GoldenCase> golden_cases() {
@@ -249,7 +254,17 @@ std::vector<GoldenCase> golden_cases() {
          c.faults.seed = 5;
          c.faults.task_crash_probability = 0.002;
          return run_spatial_hadoop(in.points, in.polys, pip_query(), in.exec, c);
-       }},
+       },
+       "join/local/map"},
+      {"spatialhadoop/partition-failed", 0xb76435dcc910cd02ULL,
+       [](const Inputs& in) {
+         SpatialHadoopConfig c;
+         c.faults.seed = 3;
+         c.faults.task_crash_probability = 0.01;
+         c.faults.max_attempts = 1;
+         return run_spatial_hadoop(in.points, in.polys, pip_query(), in.exec, c);
+       },
+       "A/partition/map"},
       {"hadoopgis/resident", 0x1f8eee115f7e52ddULL,
        [](const Inputs& in) {
          return resident_query(in, SystemKind::kHadoopGisSim, pip_query());
@@ -277,6 +292,12 @@ TEST(ReportGolden, ModeledDigestsMatchRecordedValues) {
     const RunReport report = c.run(Inputs::instance());
     EXPECT_EQ(hex(modeled_digest(report)), hex(c.digest))
         << c.name << " (" << report.status.to_string() << ")";
+    if (c.failing_phase != nullptr) {
+      EXPECT_EQ(report.status.code(), StatusCode::kTaskFailed) << c.name;
+      const std::string prefix = std::string(c.failing_phase) + ": ";
+      EXPECT_TRUE(report.status.message().starts_with(prefix))
+          << c.name << " (" << report.status.to_string() << ")";
+    }
   }
 }
 

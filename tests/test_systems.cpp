@@ -395,6 +395,90 @@ TEST(Systems, CountersArePopulated) {
             hg.counters.get("refine.exact_tests"));
 }
 
+// SpatialHadoop's partition jobs tally their per-record counts on the pool
+// threads and flush them once per job. Recount them independently: a serial
+// assignment of every record of both sides onto the fixed grid each side's
+// partition job builds (the grid needs no sample, so the scheme is known
+// without running the system).
+struct PartitionRecount {
+  std::uint64_t records = 0;
+  std::uint64_t assignments = 0;
+  std::uint64_t duplicated = 0;
+};
+
+PartitionRecount recount_partition(const workload::Dataset& data,
+                                   const core::JoinQueryConfig& query,
+                                   const core::ExecutionConfig& exec,
+                                   PartitionRecount sum = {}) {
+  const auto scheme = partition::make_partitions(
+      partition::PartitionerKind::kFixedGrid, {}, data.extent(),
+      core::effective_target_partitions(query, exec.cluster));
+  std::vector<std::uint32_t> pids;
+  for (const auto& env : data.envelopes()) {
+    scheme.assign_into(env.expanded_by(query.envelope_expansion()), pids);
+    ++sum.records;
+    sum.assignments += pids.size();
+    sum.duplicated += pids.empty() ? 0 : pids.size() - 1;
+  }
+  return sum;
+}
+
+TEST(SpatialHadoopPartitionCounters, MatchIndependentRecount) {
+  const auto& w = Workbench::instance();
+  struct Case {
+    const char* name;
+    const workload::Dataset* left;
+    const workload::Dataset* right;
+    core::JoinPredicate predicate;
+    bool filter_drops;
+  };
+  const Case cases[] = {
+      {"taxi x nycb", &w.points, &w.polys, core::JoinPredicate::kWithin, false},
+      {"edges x linearwater", &w.lines_a, &w.lines_b, core::JoinPredicate::kIntersects,
+       true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::JoinQueryConfig query;
+    query.predicate = c.predicate;
+    query.partitioner = partition::PartitionerKind::kFixedGrid;
+    const PartitionRecount expect = recount_partition(
+        *c.right, query, w.exec, recount_partition(*c.left, query, w.exec));
+
+    systems::SpatialHadoopConfig off;
+    off.policy.shuffle_filter = false;
+    const auto unfiltered =
+        systems::run_spatial_hadoop(*c.left, *c.right, query, w.exec, off);
+    ASSERT_TRUE(unfiltered.success) << unfiltered.status.to_string();
+    const auto& uc = unfiltered.counters;
+    EXPECT_EQ(uc.get("partition.records"), c.left->size() + c.right->size());
+    EXPECT_EQ(uc.get("partition.records"), expect.records);
+    EXPECT_EQ(uc.get("partition.assignments"), expect.assignments);
+    EXPECT_EQ(uc.get("partition.duplicated_records"), expect.duplicated);
+    EXPECT_GT(expect.duplicated, 0u);  // the grid really splits some records
+    EXPECT_EQ(uc.snapshot().count("shuffle.assigned_records"), 0u);
+
+    systems::SpatialHadoopConfig on;
+    on.policy.shuffle_filter = true;
+    const auto filtered =
+        systems::run_spatial_hadoop(*c.left, *c.right, query, w.exec, on);
+    ASSERT_TRUE(filtered.success) << filtered.status.to_string();
+    const auto& fc = filtered.counters;
+    EXPECT_EQ(fc.get("partition.records"), expect.records);
+    EXPECT_EQ(fc.get("shuffle.assigned_records"),
+              fc.get("shuffle.records") + fc.get("shuffle.filtered_records"));
+    EXPECT_EQ(fc.get("partition.assignments"), fc.get("shuffle.records"));
+    // The filter only drops copies: the assignment before it is unchanged.
+    EXPECT_EQ(fc.get("shuffle.assigned_records"), expect.assignments);
+    // On the fixed grid at this scale the nycb bitmap covers every taxi
+    // copy; the edge workload's filter drops some copies.
+    if (c.filter_drops) {
+      EXPECT_GT(fc.get("shuffle.filtered_records"), 0u);
+    }
+    EXPECT_EQ(filtered.result_hash, unfiltered.result_hash);
+  }
+}
+
 TEST(Experiments, RegistryShape) {
   EXPECT_EQ(core::full_experiments().size(), 2u);
   EXPECT_EQ(core::sample_experiments().size(), 2u);
