@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "index/rtree_dynamic.hpp"
-#include "index/spatial_index.hpp"
 #include "index/str_tree.hpp"
 #include "util/status.hpp"
 
@@ -196,13 +195,12 @@ void sync_traversal_join(const StrTree& left, const StrTree& right, Sink&& sink)
 /// using the index's templated traversal so the probe callback inlines.
 template <typename Index, typename Sink>
   requires requires(const Index& idx, const geom::Envelope& e) {
-    idx.for_each_intersecting(e, [](std::uint32_t) {});
+    idx.query(e, [](std::uint32_t) {});
   }
 void indexed_nested_loop_join(const std::vector<IndexEntry>& left,
                               const Index& right_index, Sink&& sink) {
   for (const auto& le : left) {
-    right_index.for_each_intersecting(
-        le.env, [&sink, &le](std::uint32_t rid) { sink(le.id, rid); });
+    right_index.query(le.env, [&sink, &le](std::uint32_t rid) { sink(le.id, rid); });
   }
 }
 

@@ -22,11 +22,6 @@ geom::Envelope DynamicRTree::node_env(const Node& node) const {
   return env;
 }
 
-const geom::Envelope& DynamicRTree::bounds() const {
-  bounds_cache_ = node_env(nodes_[root_]);
-  return bounds_cache_;
-}
-
 void DynamicRTree::insert(const geom::Envelope& env, std::uint32_t id) {
   const std::uint32_t sibling = insert_rec(root_, env, id);
   if (sibling != kNoSplit) {
@@ -172,17 +167,6 @@ void DynamicRTree::clear() {
   root_ = 0;
   height_ = 1;
   size_ = 0;
-}
-
-void DynamicRTree::query(const geom::Envelope& query,
-                         const std::function<void(std::uint32_t)>& fn) const {
-  for_each_intersecting(query, fn);
-}
-
-std::size_t DynamicRTree::size_bytes() const {
-  std::size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node);
-  for (const auto& node : nodes_) bytes += node.slots.capacity() * sizeof(Slot);
-  return bytes;
 }
 
 }  // namespace sjc::index

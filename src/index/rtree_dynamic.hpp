@@ -10,11 +10,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "index/spatial_index.hpp"
+#include "geom/envelope.hpp"
 
 namespace sjc::index {
 
-class DynamicRTree final : public SpatialIndex {
+class DynamicRTree {
  public:
   /// `max_entries` per node (min is max/2, Guttman's recommendation).
   explicit DynamicRTree(std::uint32_t max_entries = 16);
@@ -27,18 +27,13 @@ class DynamicRTree final : public SpatialIndex {
   /// allocator).
   void clear();
 
-  void query(const geom::Envelope& query,
-             const std::function<void(std::uint32_t)>& fn) const override;
-  std::size_t size() const override { return size_; }
-  std::size_t size_bytes() const override;
-  const geom::Envelope& bounds() const override;
-
+  std::size_t size() const { return size_; }
   std::uint32_t height() const { return height_; }
 
   /// Invokes `fn(id)` for every entry intersecting `query`, with the
-  /// callback inlined into the traversal (no std::function dispatch).
+  /// callback inlined into the traversal.
   template <typename Fn>
-  void for_each_intersecting(const geom::Envelope& query, Fn&& fn) const {
+  void query(const geom::Envelope& query, Fn&& fn) const {
     if (size_ == 0) return;
     std::vector<std::uint32_t> stack{root_};
     while (!stack.empty()) {
@@ -53,6 +48,13 @@ class DynamicRTree final : public SpatialIndex {
         }
       }
     }
+  }
+
+  /// The ids query() reports, in traversal order.
+  std::vector<std::uint32_t> query_ids(const geom::Envelope& q) const {
+    std::vector<std::uint32_t> out;
+    query(q, [&out](std::uint32_t id) { out.push_back(id); });
+    return out;
   }
 
  private:
@@ -79,7 +81,6 @@ class DynamicRTree final : public SpatialIndex {
   std::uint32_t min_entries_;
   std::uint32_t height_ = 1;
   std::size_t size_ = 0;
-  mutable geom::Envelope bounds_cache_;
 };
 
 }  // namespace sjc::index

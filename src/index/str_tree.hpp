@@ -7,30 +7,42 @@
 // so traversal is pointer-chase-free — important because local joins probe
 // the tree millions of times.
 //
-// Two access paths exist: the virtual SpatialIndex::query (std::function
-// callback, for polymorphic callers) and the templated for_each_intersecting
-// (callback inlined into the traversal, for the hot local-join kernels).
-// rebuild() re-packs the tree in place, reusing entry/node storage, so a
-// task processing many partition pairs pays zero allocations once warm.
+// There is one access path: the templated query(), whose callback is
+// inlined into the traversal (query_ids() collects through it). rebuild()
+// re-packs the tree in place, reusing entry/node storage, so a task
+// processing many partition pairs pays zero allocations once warm.
 //
 // Alongside the AoS nodes/entries (kept for the synchronized traversal),
 // build() mirrors every envelope into flat structure-of-arrays coordinate
-// vectors. for_each_intersecting scans those with branchless compaction —
-// candidate indices are written unconditionally and the write cursor
-// advances by the comparison result — which keeps the probe loops free of
-// unpredictable branches and lets them vectorize.
+// vectors. query() scans those with branchless compaction — candidate
+// indices are written unconditionally and the write cursor advances by the
+// comparison result — which keeps the probe loops free of unpredictable
+// branches and lets them vectorize.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "index/spatial_index.hpp"
+#include "geom/envelope.hpp"
 
 namespace sjc::index {
 
-class StrTree final : public SpatialIndex {
+/// One indexed item: an MBR and the caller's id for it (the STR tree's
+/// input and the MBR join kernels' entry lists).
+struct IndexEntry {
+  geom::Envelope env;
+  std::uint32_t id = 0;
+};
+
+class StrTree {
  public:
+  /// Fixed per-tree bytes size_bytes() charges on top of the entry and node
+  /// arrays. Modeled DFS block and broadcast sizes include it, so it is a
+  /// constant rather than sizeof(StrTree): changing the class layout must
+  /// not move a modeled quantity.
+  static constexpr std::size_t kHeaderBytes = 312;
+
   /// Builds a packed tree over `entries`. `fanout` is the max children per
   /// node (default 16, a good trade-off for in-memory trees). An empty
   /// entry set gives an empty tree; rebuild() re-packs it later (the
@@ -41,11 +53,11 @@ class StrTree final : public SpatialIndex {
   /// reused, so repeated rebuilds allocate nothing once capacity is warm.
   void rebuild(const std::vector<IndexEntry>& entries);
 
-  void query(const geom::Envelope& query,
-             const std::function<void(std::uint32_t)>& fn) const override;
-  std::size_t size() const override { return entries_.size(); }
-  std::size_t size_bytes() const override;
-  const geom::Envelope& bounds() const override { return bounds_; }
+  std::size_t size() const { return entries_.size(); }
+  /// Approximate memory footprint (DFS block index bytes, broadcast size).
+  std::size_t size_bytes() const;
+  /// Envelope of all entries (empty envelope for an empty tree).
+  const geom::Envelope& bounds() const { return bounds_; }
 
   /// Tree height (0 for an empty tree, 1 for a single leaf level).
   std::uint32_t height() const { return height_; }
@@ -65,12 +77,12 @@ class StrTree final : public SpatialIndex {
   const IndexEntry& entry(std::uint32_t id) const { return entries_[id]; }
 
   /// Invokes `fn(id)` for every entry intersecting `query`, with the
-  /// callback inlined into the traversal (no std::function dispatch).
-  /// Nodes already on the stack have passed their envelope test; both the
-  /// child scan and the leaf scan run branchless over the SoA coordinate
-  /// arrays, compacting survivors before any callback fires.
+  /// callback inlined into the traversal. Nodes already on the stack have
+  /// passed their envelope test; both the child scan and the leaf scan run
+  /// branchless over the SoA coordinate arrays, compacting survivors before
+  /// any callback fires.
   template <typename Fn>
-  void for_each_intersecting(const geom::Envelope& query, Fn&& fn) const {
+  void query(const geom::Envelope& query, Fn&& fn) const {
     if (entries_.empty() || !bounds_.intersects(query)) return;
     const double qminx = query.min_x();
     const double qmaxx = query.max_x();
@@ -127,13 +139,20 @@ class StrTree final : public SpatialIndex {
     }
   }
 
+  /// The ids query() reports, in traversal order.
+  std::vector<std::uint32_t> query_ids(const geom::Envelope& q) const {
+    std::vector<std::uint32_t> out;
+    query(q, [&out](std::uint32_t id) { out.push_back(id); });
+    return out;
+  }
+
  private:
   void build();
 
   std::vector<IndexEntry> entries_;  // permuted into leaf order
   std::vector<Node> nodes_;          // leaves first, root last
   // SoA mirrors of the entry (leaf order) and node envelopes, scanned by
-  // for_each_intersecting.
+  // query().
   std::vector<double> entry_min_x_, entry_max_x_, entry_min_y_, entry_max_y_;
   std::vector<std::uint32_t> entry_ids_;
   std::vector<double> node_min_x_, node_max_x_, node_min_y_, node_max_y_;

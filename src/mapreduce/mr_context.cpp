@@ -12,6 +12,11 @@ const cluster::FaultInjector& fault_injector(const MrContext& ctx) {
 
 namespace {
 
+/// Fraction of a slot's throughput a serial master-node step achieves:
+/// measured master CPU is divided by this, whatever the system's MrConfig
+/// says about its task slots.
+constexpr double kMasterCpuEfficiency = 0.2;
+
 /// Emits one slot-0 span for a serial single-task phase (master steps, DFS
 /// repairs). `start` is the run clock before the phase was appended.
 void emit_serial_span(MrContext& ctx, const cluster::PhaseReport& phase,
@@ -66,13 +71,11 @@ void apply_due_datanode_losses(MrContext& ctx) {
 }  // namespace
 
 void charge_master_step(MrContext& ctx, const std::string& name, double cpu_seconds,
-                        std::uint64_t read_bytes, std::uint64_t write_bytes,
-                        double cpu_efficiency) {
+                        std::uint64_t read_bytes, std::uint64_t write_bytes) {
   require(ctx.cluster != nullptr && ctx.metrics != nullptr,
           "charge_master_step: incomplete context");
-  require(cpu_efficiency > 0.0, "charge_master_step: cpu_efficiency must be positive");
   cluster::SimTask task;
-  task.cpu_seconds = cpu_seconds / cpu_efficiency;
+  task.cpu_seconds = cpu_seconds / kMasterCpuEfficiency;
   if (ctx.dfs != nullptr) {
     const auto rc = ctx.dfs->read_cost(read_bytes);
     const auto wc = ctx.dfs->write_cost(write_bytes);

@@ -78,10 +78,9 @@ struct MrContext {
 /// Charges a serial master-node step (e.g. HadoopGIS's local partition
 /// generation, SpatialHadoop's getSplits MBR join): one task on one slot,
 /// with DFS read/write of the given byte volumes. `cpu_seconds` is raw
-/// measured time; it is divided by `cpu_efficiency`.
+/// measured time; it is divided by the master's fixed CPU efficiency (0.2).
 void charge_master_step(MrContext& ctx, const std::string& name, double cpu_seconds,
-                        std::uint64_t read_bytes, std::uint64_t write_bytes,
-                        double cpu_efficiency = 0.2);
+                        std::uint64_t read_bytes, std::uint64_t write_bytes);
 
 /// The context's fault injector, or a shared trivial (fault-free) one when
 /// none is set. A trivial plan drives the failure-aware scheduler through

@@ -14,21 +14,6 @@ std::vector<std::uint32_t> bernoulli_sample(std::size_t n, double rate, Rng& rng
   return out;
 }
 
-std::vector<std::uint32_t> reservoir_sample(std::size_t n, std::size_t k, Rng& rng) {
-  require(k > 0, "reservoir_sample: k must be positive");
-  std::vector<std::uint32_t> reservoir;
-  reservoir.reserve(std::min(n, k));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (reservoir.size() < k) {
-      reservoir.push_back(static_cast<std::uint32_t>(i));
-    } else {
-      const std::uint64_t j = rng.next_below(i + 1);
-      if (j < k) reservoir[j] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return reservoir;
-}
-
 std::vector<geom::Envelope> gather_envelopes(std::span<const geom::Envelope> envs,
                                              const std::vector<std::uint32_t>& indices) {
   std::vector<geom::Envelope> out;

@@ -2,10 +2,9 @@
 //
 // All three systems derive partition boundaries from a sample of the input
 // (Section II.A): HadoopGIS and SpatialHadoop sample via extra MR jobs,
-// SpatialSpark via Spark's built-in sample(). Two classic schemes are
-// provided: Bernoulli (each item kept independently with probability p —
-// what Spark's sample() does) and reservoir (exact k-sized sample in one
-// pass — what you want when k must be bounded).
+// SpatialSpark via Spark's built-in sample(). All of them Bernoulli-sample:
+// each item is kept independently with probability p, which is what
+// Spark's sample() does.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +19,6 @@ namespace sjc::partition {
 /// Bernoulli-samples indices [0, n): every index kept with probability
 /// `rate`.
 std::vector<std::uint32_t> bernoulli_sample(std::size_t n, double rate, Rng& rng);
-
-/// Reservoir-samples exactly min(k, n) indices from [0, n), uniformly
-/// without replacement (Vitter's Algorithm R).
-std::vector<std::uint32_t> reservoir_sample(std::size_t n, std::size_t k, Rng& rng);
 
 /// Gathers the envelopes at `indices` from `envs`.
 std::vector<geom::Envelope> gather_envelopes(std::span<const geom::Envelope> envs,

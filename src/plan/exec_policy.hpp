@@ -5,12 +5,10 @@
 // cross-cutting knob (`shuffle_filter` lived three times, once per system
 // config, and the adaptive-execution work would have added three more).
 // ExecPolicy is the single struct those knobs live in; each system config
-// embeds one, and the drivers resolve the optionals through the accessors
-// below, so every system shares one default per knob.
+// embeds one, so every system shares one default per knob.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 namespace sjc::plan {
 
@@ -35,26 +33,21 @@ struct SkewPolicy {
 };
 
 struct ExecPolicy {
-  /// Map-side spatial shuffle filter (the sFilter analog). Unset means on
-  /// in every driver; the SpatialSpark broadcast join never filters.
-  std::optional<bool> shuffle_filter;
+  /// Map-side spatial shuffle filter (the sFilter analog). On by default in
+  /// every driver; the SpatialSpark broadcast join never filters.
+  bool shuffle_filter = true;
   /// Skew-aware adaptive repartitioning: probe per-cell load after the
   /// scheme is derived from the sample, split hotspot cells, and shuffle
   /// against the refined scheme. Survivor pair sets and refine.* counters
   /// are bit-identical to the static scheme (tests/test_plan.cpp); the
-  /// shuffle.assigned == records + filtered invariant is preserved. Unset
-  /// resolves to off — the static partitioner stays the baseline.
-  std::optional<bool> repartition;
+  /// shuffle.assigned == records + filtered invariant is preserved. Off by
+  /// default — the static partitioner stays the baseline.
+  bool repartition = false;
   SkewPolicy skew;
   /// SpatialSpark only: choose between the broadcast-based and the
   /// partition-based join per query via plan::choose_plan() instead of the
   /// static broadcast_join flag. Ignored by drivers with one path.
   bool cost_based_plan = false;
-
-  /// Whether the map-side shuffle filter runs (unset means on).
-  bool shuffle_filter_on() const { return shuffle_filter.value_or(true); }
-  /// Whether skew-aware repartitioning runs (unset means off).
-  bool repartition_on() const { return repartition.value_or(false); }
 };
 
 }  // namespace sjc::plan

@@ -537,7 +537,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // datasets, tallied instead of emitted), split hotspot tiles on the
     // master, and rewrite the partition file — the filter bitmaps and the
     // join job then see the refined tile set.
-    if (config.policy.repartition_on()) {
+    if (config.policy.repartition) {
       CpuStopwatch skew_cpu;
       const auto probe = [&](const partition::PartitionScheme& s) {
         std::vector<plan::CellLoad> loads(s.cell_count());
@@ -565,7 +565,7 @@ core::RunReport run_hadoop_gis_impl(const workload::Dataset& left,
     // geometry in that tile, and B-side mappers drop against the A bitmap —
     // before the line is pushed through the streaming pipe. Both bitmaps
     // ship to every mapper via the distributed cache.
-    if (config.policy.shuffle_filter_on()) {
+    if (config.policy.shuffle_filter) {
       CpuStopwatch filter_cpu;
       in.filters = core::build_symmetric_filter(joint_scheme, expand, left.envelopes(),
                                                 right.envelopes());

@@ -177,7 +177,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // expanded-envelope assignment, tallied instead of emitted), split hotspot
   // cells on the master, and rewrite the _master file — so Job 2, the
   // shuffle filter and getSplits all see the refined cell set.
-  if (config.policy.repartition_on()) {
+  if (config.policy.repartition) {
     CpuStopwatch skew_cpu;
     const auto probe = [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
@@ -297,7 +297,7 @@ IndexedDataset index_dataset(mapreduce::MrContext& ctx, const workload::Dataset&
   // task exhausting its attempts), so a failed run still reports them.
   const auto flush_tally = [&] {
     if (ctx.counters != nullptr) {
-      tally.flush(*ctx.counters, config.policy.shuffle_filter_on());
+      tally.flush(*ctx.counters, config.policy.shuffle_filter);
     }
   };
   try {
@@ -467,7 +467,7 @@ core::RunReport run_spatial_hadoop_impl(const workload::Dataset& left,
     // streamed (left) side's shuffle.
     IndexedDataset ia;
     IndexedDataset ib;
-    if (config.policy.shuffle_filter_on()) {
+    if (config.policy.shuffle_filter) {
       ib = index_dataset(ctx, right, "B", query, exec, config);
       const FilterSource source{&ib, &right};
       ia = index_dataset(ctx, left, "A", query, exec, config, &source);

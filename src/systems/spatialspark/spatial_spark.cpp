@@ -453,7 +453,7 @@ void run_partitioned_join(const workload::Dataset& left, const workload::Dataset
   // refined cell set. Runs before the occupancy filter on purpose: the
   // probe must see unfiltered load, and the bitmaps must be built against
   // the final cells.
-  if (config.policy.repartition_on()) {
+  if (config.policy.repartition) {
     CpuStopwatch skew_cpu;
     const auto probe = [&](const partition::PartitionScheme& s) {
       std::vector<plan::CellLoad> loads(s.cell_count());
@@ -497,7 +497,7 @@ void run_partitioned_join(const workload::Dataset& left, const workload::Dataset
   // and its assign stages consult them. The broadcast join shuffles
   // nothing to filter.
   std::optional<core::SymmetricFilter> filters;
-  if (config.policy.shuffle_filter_on()) {
+  if (config.policy.shuffle_filter) {
     CpuStopwatch filter_cpu;
     filters = core::build_symmetric_filter(scheme_bc.value(), expand,
                                            rdd_envelopes(in.left), rdd_envelopes(in.right));

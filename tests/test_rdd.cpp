@@ -32,18 +32,8 @@ TEST(Rdd, CreateAndCollect) {
   auto rt = f.make_runtime();
   auto r = Rdd<int>::create(rt, {{1, 2}, {3}, {}}, int_sizer(), "ints");
   EXPECT_EQ(r.num_partitions(), 3u);
-  EXPECT_EQ(r.count(), 3u);
   EXPECT_EQ(r.collect(), (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(r.bytes(), 24u);
-}
-
-TEST(Rdd, MapPreservesPartitioning) {
-  SparkFixture f;
-  auto rt = f.make_runtime();
-  auto r = Rdd<int>::create(rt, {{1, 2}, {3}}, int_sizer(), "ints");
-  auto doubled = r.map<int>("double", [](const int& x) { return 2 * x; }, int_sizer());
-  EXPECT_EQ(doubled.num_partitions(), 2u);
-  EXPECT_EQ(doubled.collect(), (std::vector<int>{2, 4, 6}));
 }
 
 TEST(Rdd, FlatMapExpands) {
@@ -59,25 +49,29 @@ TEST(Rdd, FlatMapExpands) {
   EXPECT_EQ(repeated.collect(), (std::vector<int>{2, 2, 3, 3, 3}));
 }
 
-TEST(Rdd, FilterKeepsMatching) {
+TEST(Rdd, FlatMapPreservesPartitioning) {
   SparkFixture f;
   auto rt = f.make_runtime();
-  auto r = Rdd<int>::create(rt, {{1, 2, 3, 4, 5}}, int_sizer(), "ints");
-  EXPECT_EQ(r.filter("even", [](const int& x) { return x % 2 == 0; }).collect(),
-            (std::vector<int>{2, 4}));
+  auto r = Rdd<int>::create(rt, {{1, 2}, {3}}, int_sizer(), "ints");
+  auto doubled = r.flat_map<int>(
+      "double", [](const int& x, std::vector<int>& out) { out.push_back(2 * x); },
+      int_sizer());
+  ASSERT_EQ(doubled.num_partitions(), 2u);
+  EXPECT_EQ(doubled.partitions()[0], (std::vector<int>{2, 4}));
+  EXPECT_EQ(doubled.partitions()[1], (std::vector<int>{6}));
 }
 
-TEST(Rdd, MapPartitionsSeesWholePartition) {
+TEST(Rdd, MapPartitionsIndexedSeesIndexAndWholePartition) {
   SparkFixture f;
   auto rt = f.make_runtime();
   auto r = Rdd<int>::create(rt, {{1, 2, 3}, {4, 5}}, int_sizer(), "ints");
-  auto sums = r.map_partitions<int>(
+  auto sums = r.map_partitions_indexed<int>(
       "sum",
-      [](const std::vector<int>& part, std::vector<int>& out) {
-        out.push_back(std::accumulate(part.begin(), part.end(), 0));
+      [](std::size_t p, const std::vector<int>& part, std::vector<int>& out) {
+        out.push_back(100 * static_cast<int>(p) + std::accumulate(part.begin(), part.end(), 0));
       },
       int_sizer());
-  EXPECT_EQ(sums.collect(), (std::vector<int>{6, 9}));
+  EXPECT_EQ(sums.collect(), (std::vector<int>{6, 109}));
 }
 
 TEST(Rdd, SampleIsDeterministicAndApproximate) {
@@ -145,7 +139,10 @@ TEST(Rdd, StagesAreRecorded) {
   {
     auto rt = f.make_runtime();
     auto r = Rdd<int>::create(rt, {{1, 2, 3}}, int_sizer(), "ints");
-    r.map<int>("double", [](const int& x) { return 2 * x; }, int_sizer()).count();
+    r.flat_map<int>(
+         "double", [](const int& x, std::vector<int>& out) { out.push_back(2 * x); },
+         int_sizer())
+        .collect();
   }
   ASSERT_GE(f.metrics.phases().size(), 2u);
   EXPECT_EQ(f.metrics.phases()[0].name, "ints.double");
@@ -260,16 +257,20 @@ namespace {
 TEST(Rdd, UninitializedHandleThrowsNotCrashes) {
   Rdd<int> empty;
   EXPECT_FALSE(empty.valid());
-  EXPECT_THROW(empty.count(), InvalidArgument);
   EXPECT_THROW(empty.collect(), InvalidArgument);
   EXPECT_THROW(empty.num_partitions(), InvalidArgument);
   EXPECT_THROW(empty.bytes(), InvalidArgument);
-  EXPECT_THROW(empty.filter("f", [](const int&) { return true; }), InvalidArgument);
-  const auto try_map = [&] {
-    empty.map<int>("m", [](const int& x) { return x; },
-                   [](const int&) -> std::uint64_t { return 8; });
+  EXPECT_THROW(empty.sample("s", 0.5, 1), InvalidArgument);
+  const auto try_flat_map = [&] {
+    empty.flat_map<int>("m", [](const int& x, std::vector<int>& out) { out.push_back(x); },
+                        int_sizer());
   };
-  EXPECT_THROW(try_map(), InvalidArgument);
+  EXPECT_THROW(try_flat_map(), InvalidArgument);
+  const auto try_map_partitions = [&] {
+    empty.map_partitions_indexed<int>(
+        "mp", [](std::size_t, const std::vector<int>&, std::vector<int>&) {}, int_sizer());
+  };
+  EXPECT_THROW(try_map_partitions(), InvalidArgument);
   const auto try_group = [] {
     group_by_key<int, int>(Rdd<std::pair<int, int>>{}, 2,
                            [](const auto&) -> std::uint64_t { return 1; });

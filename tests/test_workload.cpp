@@ -9,7 +9,7 @@
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "workload/generators.hpp"
-#include "workload/dataset_io.hpp"
+#include "workload/quarantine.hpp"
 #include "workload/tsv.hpp"
 
 namespace sjc::workload {
@@ -220,43 +220,6 @@ TEST(Tsv, DatasetToTsvMatchesSize) {
 namespace sjc::workload {
 namespace {
 
-TEST(DatasetIo, RoundTripsThroughFile) {
-  const auto original = generate_nycb(tiny());
-  const std::string path = "/tmp/sjc_dataset_io_test.tsv";
-  write_tsv_file(original, path);
-  const auto loaded = read_tsv_file(path, "nycb", original.attr_pad_bytes());
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.features()[i].id, original.features()[i].id);
-    EXPECT_TRUE(loaded.features()[i].geometry == original.features()[i].geometry);
-  }
-  EXPECT_EQ(loaded.text_bytes(), original.text_bytes());
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, MissingFileThrows) {
-  EXPECT_THROW(read_tsv_file("/nonexistent/file.tsv", "x"), SjcError);
-}
-
-TEST(DatasetIo, MalformedLineThrows) {
-  const std::string path = "/tmp/sjc_dataset_io_bad.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1\tPOINT (1 2)\nnot a record\n", f);
-  std::fclose(f);
-  EXPECT_THROW(read_tsv_file(path, "bad"), ParseError);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, SkipsBlankLines) {
-  const std::string path = "/tmp/sjc_dataset_io_blank.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("\n1\tPOINT (1 2)\n\n2\tPOINT (3 4)\n\n", f);
-  std::fclose(f);
-  const auto data = read_tsv_file(path, "pts");
-  EXPECT_EQ(data.size(), 2u);
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Input quarantine: tolerant parsing, junk injection, the quarantine sink
 // ---------------------------------------------------------------------------
@@ -327,24 +290,6 @@ TEST(Quarantine, SinkCountsSamplesAndFlushes) {
   cluster::Counters none;
   empty.flush_counters(none);
   EXPECT_EQ(0u, none.get("input.quarantined_rows"));
-}
-
-TEST(Quarantine, ReadTsvFileDivertsBadLines) {
-  const std::string path = "quarantine_roundtrip_test.tsv";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(nullptr, f);
-    std::fputs("1\tPOINT (0 0)\nXJUNK\tPOINT (1 2)\n2\tPOINT (3 4)\n", f);
-    std::fclose(f);
-  }
-  // Default (no quarantine): the bad line is fatal, as before.
-  EXPECT_THROW(read_tsv_file(path, "t"), ParseError);
-
-  RowQuarantine q;
-  const Dataset data = read_tsv_file(path, "t", 0, &q);
-  EXPECT_EQ(2u, data.size());
-  EXPECT_EQ(1u, q.count());
-  std::remove(path.c_str());
 }
 
 }  // namespace
