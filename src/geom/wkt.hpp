@@ -19,6 +19,10 @@ namespace sjc::geom {
 /// "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))".
 std::string to_wkt(const Geometry& geometry);
 
+/// Appends to_wkt(geometry) to `out` without building a temporary string;
+/// hot render paths reuse one scratch buffer across many geometries.
+void append_wkt(std::string& out, const Geometry& geometry);
+
 /// Parses WKT for the five supported types. Throws ParseError on malformed
 /// input (unknown tag, unbalanced parens, bad numbers, unclosed rings, ...).
 Geometry from_wkt(std::string_view wkt);

@@ -2,6 +2,8 @@
 // property-based random geometries) and parse-error handling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "geom/wkt.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -23,6 +25,39 @@ TEST(Wkt, WritesPolygonWithHole) {
       {{{1, 1}, {2, 1}, {2, 2}, {1, 2}, {1, 1}}});
   EXPECT_EQ(to_wkt(poly),
             "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))");
+}
+
+TEST(Wkt, WritesSignedZeroHugeAndSubnormalShortest) {
+  EXPECT_EQ(to_wkt(Geometry::point(-0.0, 1e300)), "POINT (-0 1e+300)");
+  EXPECT_EQ(to_wkt(Geometry::point(5e-324, -1.7976931348623157e308)),
+            "POINT (5e-324 -1.7976931348623157e+308)");
+  EXPECT_EQ(to_wkt(Geometry::point(2.2250738585072014e-308, 0.1)),
+            "POINT (2.2250738585072014e-308 0.1)");
+}
+
+TEST(Wkt, AppendWktExtendsPrefixLikeToWkt) {
+  const std::vector<Coord> ring{{-0.0, 0}, {1e300, 0}, {1e300, 4.9e-324}, {-0.0, 0}};
+  const std::vector<Coord> hole{{1, 1}, {2, 1}, {2, 2.2250738585072014e-308}, {1, 1}};
+  const Geometry geometries[] = {
+      Geometry::point(-0.0, 5e-324),
+      Geometry::line_string({{-1e300, 0.1}, {1.7976931348623157e308, -0.0}}),
+      Geometry::polygon(ring, {hole}),
+      Geometry::multi_line_string(
+          {LineString{{{0, 0}, {1, 1}}}, LineString{{{-0.0, 3e-310}, {2, 2}}}}),
+      Geometry::multi_polygon({Polygon{ring, {hole, hole}}, Polygon{hole, {}}}),
+  };
+  for (const auto& g : geometries) {
+    std::string out = "17\t";
+    append_wkt(out, g);
+    EXPECT_EQ(out, "17\t" + to_wkt(g));
+    // Appending again extends rather than overwrites.
+    append_wkt(out, g);
+    EXPECT_EQ(out, "17\t" + to_wkt(g) + to_wkt(g));
+
+    const Geometry back = from_wkt(to_wkt(g));
+    EXPECT_TRUE(back == g) << to_wkt(g);
+  }
+  EXPECT_TRUE(std::signbit(from_wkt(to_wkt(geometries[0])).as_point().x));
 }
 
 TEST(Wkt, ParsesPoint) {

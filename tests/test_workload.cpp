@@ -8,6 +8,7 @@
 #include "geom/predicates.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generators.hpp"
 #include "workload/quarantine.hpp"
 #include "workload/tsv.hpp"
@@ -212,6 +213,92 @@ TEST(Tsv, DatasetToTsvMatchesSize) {
   EXPECT_EQ(lines.size(), nycb.size());
   const auto padded = dataset_to_tsv(nycb, /*include_pad=*/true);
   EXPECT_GT(padded[0].size(), lines[0].size());
+}
+
+// Golden rendered text. Line sizes and text bytes feed DFS blocks and
+// Streaming pipe bytes, so they are modeled quantities: the render may get
+// faster, but not one byte of it may change. Values recorded from the
+// sequential format_double-based renderer.
+std::uint64_t hash_lines(const std::vector<std::string>& lines) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a, order-sensitive
+  for (const auto& line : lines) {
+    for (const char c : line) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    h = (h ^ static_cast<unsigned char>('\n')) * 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(TsvGolden, GeneratorDatasetsRenderUnchanged) {
+  struct Golden {
+    DatasetId id;
+    std::size_t size;
+    std::uint64_t text_bytes;
+    std::uint64_t padded_hash;
+  };
+  const Golden golden[] = {
+      {DatasetId::kTaxi, 169721, 12880850, 0x58d53156230de242ULL},
+      {DatasetId::kTaxi1m, 14143, 1073445, 0x3904562171c387ccULL},
+      {DatasetId::kNycb, 36, 42534, 0xb50841e9094989fbULL},
+      {DatasetId::kEdges, 72730, 32743235, 0x88558af5f2602275ULL},
+      {DatasetId::kEdges01, 7200, 3249422, 0x19de1f9784d6c2d1ULL},
+      {DatasetId::kLinearwater, 5857, 14394800, 0xc0435a4dfeab8db0ULL},
+      {DatasetId::kLinearwater01, 592, 1461468, 0x9e10d70a09524155ULL},
+  };
+  WorkloadConfig wc;
+  wc.seed = 2015;
+  wc.scale = 1e-3;
+  for (const auto& g : golden) {
+    const auto data = generate(g.id, wc);
+    const auto lines = dataset_to_tsv(data, /*include_pad=*/true);
+    const std::uint64_t hash = hash_lines(lines);
+    EXPECT_EQ(g.size, data.size()) << dataset_id_name(g.id);
+    EXPECT_EQ(g.text_bytes, data.text_bytes()) << dataset_id_name(g.id);
+    EXPECT_EQ(g.padded_hash, hash)
+        << dataset_id_name(g.id) << ": rendered text changed, now 0x" << std::hex << hash;
+  }
+}
+
+// The parallel render must equal the per-feature renderer line for line,
+// and every line must parse back to its feature.
+void expect_renders_like_feature_to_tsv(const Dataset& data) {
+  for (const bool include_pad : {false, true}) {
+    const std::size_t pad = include_pad ? data.attr_pad_bytes() : 0;
+    const auto lines = dataset_to_tsv(data, include_pad);
+    ASSERT_EQ(lines.size(), data.size()) << data.name();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const auto& f = data.features()[i];
+      ASSERT_EQ(lines[i], feature_to_tsv(f, pad)) << data.name() << " line " << i;
+      const geom::Feature parsed = feature_from_tsv(lines[i]);
+      EXPECT_EQ(parsed.id, f.id);
+      EXPECT_TRUE(parsed.geometry == f.geometry) << data.name() << " line " << i;
+    }
+  }
+}
+
+TEST(Tsv, DatasetToTsvEqualsPerFeatureLines) {
+  expect_renders_like_feature_to_tsv(generate_nycb(tiny()));
+  expect_renders_like_feature_to_tsv(generate_edges(tiny()));
+  expect_renders_like_feature_to_tsv(generate_linearwater(tiny()));
+}
+
+TEST(Tsv, DatasetToTsvHandlesFewerFeaturesThanBlocks) {
+  const auto edges = generate_edges(tiny());
+  for (const std::size_t n : {0, 1, 2, 5, 63, 64, 65}) {
+    std::vector<geom::Feature> some(edges.features().begin(),
+                                    edges.features().begin() + static_cast<std::ptrdiff_t>(n));
+    expect_renders_like_feature_to_tsv(Dataset("edges-" + std::to_string(n),
+                                               std::move(some), /*attr_pad_bytes=*/3));
+  }
+}
+
+TEST(Tsv, DatasetToTsvInsidePoolWorkerMatches) {
+  const auto nycb = generate_nycb(tiny());
+  const auto expected = dataset_to_tsv(nycb, /*include_pad=*/true);
+  std::vector<std::vector<std::string>> nested(4);
+  ThreadPool::shared().parallel_for(nested.size(), [&](std::size_t i) {
+    nested[i] = dataset_to_tsv(nycb, /*include_pad=*/true);
+  });
+  for (const auto& lines : nested) EXPECT_EQ(lines, expected);
 }
 
 }  // namespace
